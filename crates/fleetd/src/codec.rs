@@ -214,20 +214,42 @@ impl WindowBatch {
     }
 }
 
-/// IEEE CRC-32 (the pcap/zip polynomial), table-driven, table built at
-/// compile time.
+/// CRC-32 lookup tables, built at compile time by [`crc32_tables`].
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// IEEE CRC-32 (the pcap/zip polynomial), slicing-by-8: eight bytes per
+/// step through eight lookup tables built at compile time, then the
+/// sub-word tail one byte at a time. Values are those of the classic
+/// bytewise table algorithm (kept as the test oracle), so every framed
+/// artifact keeps its bytes.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        // The upper four bytes do not depend on the running CRC, so their
+        // lookups overlap with the previous step's instead of waiting.
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        let hi = t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = hi
+            ^ (t[7][(lo & 0xFF) as usize] ^ t[6][((lo >> 8) & 0xFF) as usize])
+            ^ (t[5][((lo >> 16) & 0xFF) as usize] ^ t[4][(lo >> 24) as usize]);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the classic reflected byte table; `T[k][i]` is the CRC of
+/// byte `i` followed by `k` zero bytes, which lets one step fold eight
+/// input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -240,10 +262,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -305,6 +337,46 @@ mod tests {
             WindowBatch::decode(&buf),
             Err(CodecError::ImplausibleLength)
         );
+    }
+
+    /// The classic one-table, one-byte-per-step CRC-32: the oracle the
+    /// slicing-by-8 [`crc32`] must agree with on every input.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let t = &CRC32_TABLES[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ t[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_alignment() {
+        // Every length 0..=4096 at every start offset 0..8 within one
+        // buffer: covers each alignment of the 8-byte steps and every
+        // remainder tail length.
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=4096 {
+                let data = &buf[off..off + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "off {off} len {len}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..4104),
+            off in 0usize..8,
+        ) {
+            let off = off.min(data.len());
+            prop_assert_eq!(crc32(&data[off..]), crc32_bytewise(&data[off..]));
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::epoch::{
     RolloutConfig, RolloutEvent,
 };
 use crate::queue::{Admit, Popped, QueueConfig, ShardQueue};
-use crate::snapshot::{self, Snapshot};
+use crate::snapshot;
 use crate::state::{ApplyConfig, ApplyOutcome, HostState, ShadowCtx, ShardState};
 use crate::supervisor::{SupervisorConfig, Worker, WorkerStatus};
 use crate::wal::{AppendOutcome, KillSwitch, WalRecord, WalWriter};
@@ -242,6 +242,9 @@ pub struct Daemon {
     tick: u64,
     next_snapshot_seq: u64,
     applied_since_snapshot: u64,
+    /// Byte length of the last image this process wrote (0 before the
+    /// first); the next image's buffer is sized from it.
+    last_snapshot_len: usize,
     stats: DaemonStats,
     completions: Vec<Completion>,
     epoch: EpochState,
@@ -538,6 +541,7 @@ impl Daemon {
             // crash loop cannot grow the WAL without bound: recovery with
             // a long tail snapshots soon after restart.
             applied_since_snapshot: report.wal_replayed,
+            last_snapshot_len: 0,
             stats: DaemonStats::default(),
             completions: Vec::new(),
             epoch,
@@ -1159,21 +1163,22 @@ impl Daemon {
     }
 
     fn write_snapshot(&mut self) -> Result<(), DaemonError> {
-        let mut hosts = BTreeMap::new();
-        for shard in &self.shards {
-            for (&h, st) in &shard.state.hosts {
-                hosts.insert(h, st.clone());
-            }
-        }
-        let snap = Snapshot {
-            seq: self.next_snapshot_seq,
-            n_windows: self.cfg.n_windows,
-            hosts,
-            epoch: self.epoch.clone(),
-            drained: self.drained.iter().copied().collect(),
-        };
-        let seq = snap.seq;
-        snapshot::write_snapshot(&self.dir, &snap)?;
+        let seq = self.next_snapshot_seq;
+        let drained: Vec<u32> = self.drained.iter().copied().collect();
+        // Encoded straight from the shard tables. Between checkpoints an
+        // image only grows by what was applied since, so the previous
+        // length plus an eighth usually holds it without a realloc.
+        let mut image = Vec::with_capacity(self.last_snapshot_len + self.last_snapshot_len / 8);
+        snapshot::encode_into(
+            &mut image,
+            seq,
+            self.cfg.n_windows,
+            self.hosts(),
+            &self.epoch,
+            &drained,
+        );
+        self.last_snapshot_len = image.len();
+        snapshot::write_snapshot(&self.dir, seq, &image)?;
         self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;
@@ -2027,6 +2032,31 @@ mod tests {
             pinned_alarms,
             "WAL replay reproduces pinned evaluation exactly"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_file_is_the_encoding_of_its_own_decode() {
+        // The image written from borrowed shard state must be byte for
+        // byte what `Snapshot::encode` makes of the decoded value, with
+        // the rollout candidate and a drained shard in it.
+        let dir = tmpdir("canonical");
+        let (mut d, mut kill) = prepare_rollout_daemon(&dir);
+        d.begin_rollout(4, 6, candidate(6.0), &mut kill).unwrap();
+        d.command(ControlCommand::DrainShard { shard: 1 }, &mut kill)
+            .unwrap();
+        d.checkpoint().unwrap();
+        let snaps = snapshot::list_snapshots(&dir).unwrap();
+        let bytes = std::fs::read(&snaps[0].1).unwrap();
+        let decoded = snapshot::Snapshot::decode(&bytes).unwrap();
+        assert_eq!(decoded.drained, vec![1]);
+        assert!(decoded.epoch.candidate.is_some());
+        let live = d.hosts();
+        assert_eq!(decoded.hosts.len(), live.len());
+        for (h, st) in &decoded.hosts {
+            assert_eq!(st, live[h]);
+        }
+        assert_eq!(decoded.encode(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

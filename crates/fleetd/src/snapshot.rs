@@ -28,7 +28,7 @@ use tailstats::KllSketch;
 
 use crate::codec::{crc32, put_f64, put_u32, put_u64, CodecError, Reader};
 use crate::epoch::{decode_epoch, encode_epoch, EpochState};
-use crate::state::{HostState, ShardState};
+use crate::state::HostState;
 
 /// Snapshot file magic: "FSN1".
 pub const SNAP_MAGIC: [u8; 4] = *b"FSN1";
@@ -71,9 +71,12 @@ pub enum SnapshotDefect {
 
 fn encode_accumulator(out: &mut Vec<u8>, acc: &WindowAccumulator) {
     put_u32(out, acc.len() as u32);
+    out.reserve(acc.len() * 12);
     for (w, c) in acc.iter() {
-        put_u32(out, w);
-        put_u64(out, c);
+        let mut pair = [0u8; 12];
+        pair[..4].copy_from_slice(&w.to_le_bytes());
+        pair[4..].copy_from_slice(&c.to_le_bytes());
+        out.extend_from_slice(&pair);
     }
 }
 
@@ -82,13 +85,16 @@ fn decode_accumulator(r: &mut Reader<'_>) -> Result<WindowAccumulator, CodecErro
     if n > MAX_SNAP_PAYLOAD / 12 {
         return Err(CodecError::ImplausibleLength);
     }
-    let mut acc = WindowAccumulator::new();
-    for _ in 0..n {
-        let w = r.u32()?;
-        let c = r.u64()?;
-        acc.insert(w, c);
-    }
-    Ok(acc)
+    // Taking every pair's bytes first means a forged count fails as
+    // `Truncated` before anything is allocated for it.
+    let raw = r.bytes(n as usize * 12)?;
+    Ok(WindowAccumulator::from_pairs(raw.chunks_exact(12).map(
+        |p| {
+            let w = u32::from_le_bytes([p[0], p[1], p[2], p[3]]);
+            let c = u64::from_le_bytes([p[4], p[5], p[6], p[7], p[8], p[9], p[10], p[11]]);
+            (w, c)
+        },
+    )))
 }
 
 /// Flag byte + (bitmap words, opaque sketch image) when present. Exact-mode
@@ -135,54 +141,91 @@ fn decode_sketch(r: &mut Reader<'_>) -> Result<Option<SketchAccumulator>, CodecE
     }
 }
 
+fn encode_host(out: &mut Vec<u8>, host: u32, st: &HostState) {
+    put_u32(out, host);
+    put_u64(out, st.last_seq);
+    put_u64(out, st.live_alarms);
+    match st.threshold {
+        Some(t) => {
+            out.push(1);
+            put_f64(out, t);
+        }
+        None => out.push(0),
+    }
+    match st.promoted {
+        Some((from, t)) => {
+            out.push(1);
+            put_u32(out, from);
+            put_f64(out, t);
+        }
+        None => out.push(0),
+    }
+    match st.pinned {
+        Some(t) => {
+            out.push(1);
+            put_f64(out, t);
+        }
+        None => out.push(0),
+    }
+    encode_accumulator(out, &st.train);
+    encode_accumulator(out, &st.test);
+    encode_sketch(out, &st.train_sketch);
+    encode_sketch(out, &st.test_sketch);
+}
+
+/// Encode a framed snapshot image into `out`, replacing its contents.
+///
+/// This is the one `FSN1` encoder. It reads borrowed host state, so the
+/// daemon checkpoints straight from its shard tables without cloning
+/// them. `hosts` must come in ascending host order, the order
+/// [`Snapshot::encode`] writes. Header and payload share one buffer: the
+/// header's length and CRC (and the payload's host count) are patched in
+/// once the payload is complete, so an `out` with enough capacity is
+/// never reallocated.
+pub(crate) fn encode_into<'a>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    n_windows: u32,
+    hosts: impl IntoIterator<Item = (u32, &'a HostState)>,
+    epoch: &EpochState,
+    drained: &[u32],
+) {
+    out.clear();
+    out.extend_from_slice(&SNAP_MAGIC);
+    out.extend_from_slice(&[0; 8]);
+    put_u64(out, seq);
+    put_u32(out, n_windows);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let mut n_hosts = 0u32;
+    for (host, st) in hosts {
+        encode_host(out, host, st);
+        n_hosts += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&n_hosts.to_le_bytes());
+    encode_epoch(out, epoch);
+    put_u32(out, drained.len() as u32);
+    for &s in drained {
+        put_u32(out, s);
+    }
+    let len = (out.len() - 12) as u32;
+    let crc = crc32(&out[12..]);
+    out[4..8].copy_from_slice(&len.to_le_bytes());
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl Snapshot {
     /// Serialise to the framed on-disk byte form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.seq);
-        put_u32(&mut payload, self.n_windows);
-        put_u32(&mut payload, self.hosts.len() as u32);
-        for (&host, st) in &self.hosts {
-            put_u32(&mut payload, host);
-            put_u64(&mut payload, st.last_seq);
-            put_u64(&mut payload, st.live_alarms);
-            match st.threshold {
-                Some(t) => {
-                    payload.push(1);
-                    put_f64(&mut payload, t);
-                }
-                None => payload.push(0),
-            }
-            match st.promoted {
-                Some((from, t)) => {
-                    payload.push(1);
-                    put_u32(&mut payload, from);
-                    put_f64(&mut payload, t);
-                }
-                None => payload.push(0),
-            }
-            match st.pinned {
-                Some(t) => {
-                    payload.push(1);
-                    put_f64(&mut payload, t);
-                }
-                None => payload.push(0),
-            }
-            encode_accumulator(&mut payload, &st.train);
-            encode_accumulator(&mut payload, &st.test);
-            encode_sketch(&mut payload, &st.train_sketch);
-            encode_sketch(&mut payload, &st.test_sketch);
-        }
-        encode_epoch(&mut payload, &self.epoch);
-        put_u32(&mut payload, self.drained.len() as u32);
-        for &s in &self.drained {
-            put_u32(&mut payload, s);
-        }
-        let mut out = Vec::with_capacity(12 + payload.len());
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        encode_into(
+            &mut out,
+            self.seq,
+            self.n_windows,
+            self.hosts.iter().map(|(&h, st)| (h, st)),
+            &self.epoch,
+            &self.drained,
+        );
         out
     }
 
@@ -271,23 +314,6 @@ impl Snapshot {
             drained,
         })
     }
-
-    /// Build a snapshot image from live shard tables plus rollout state.
-    pub fn from_shards(seq: u64, n_windows: u32, shards: &[ShardState], epoch: &EpochState) -> Self {
-        let mut hosts = BTreeMap::new();
-        for shard in shards {
-            for (&h, st) in &shard.hosts {
-                hosts.insert(h, st.clone());
-            }
-        }
-        Self {
-            seq,
-            n_windows,
-            hosts,
-            epoch: epoch.clone(),
-            drained: Vec::new(),
-        }
-    }
 }
 
 /// Filename for snapshot `seq` inside the daemon directory.
@@ -317,15 +343,15 @@ pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// Atomically install a snapshot in `dir` (tmp + rename), then prune so
-/// only the two newest remain. Returns the installed path.
-pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> std::io::Result<PathBuf> {
+/// Atomically install the encoded image of snapshot `seq` in `dir`
+/// (tmp + rename), then prune so only the two newest remain. Returns the
+/// installed path.
+pub fn write_snapshot(dir: &Path, seq: u64, image: &[u8]) -> std::io::Result<PathBuf> {
     let tmp = dir.join("snap.tmp");
-    fs::write(&tmp, snap.encode())?;
-    let path = dir.join(snapshot_filename(snap.seq));
+    fs::write(&tmp, image)?;
+    let path = dir.join(snapshot_filename(seq));
     fs::rename(&tmp, &path)?;
-    for (old_seq, old_path) in list_snapshots(dir)?.into_iter().skip(2) {
-        let _ = old_seq;
+    for (_, old_path) in list_snapshots(dir)?.into_iter().skip(2) {
         fs::remove_file(old_path)?;
     }
     Ok(path)
@@ -429,6 +455,60 @@ mod tests {
         }
     }
 
+    /// A fleet of sketch-mode hosts with enough windows per week that
+    /// every sketch compacts at least once.
+    fn sketch_sample() -> Snapshot {
+        let mut hosts = BTreeMap::new();
+        for host in [1u32, 4, 7] {
+            let mut train = SketchAccumulator::new(0.05);
+            let mut test = SketchAccumulator::new(0.05);
+            for w in 0..672u32 {
+                let c = u64::from((w * 31 + host * 7) % 97);
+                train.insert(w, c);
+                if w % 3 != 0 {
+                    test.insert(w, c * 2 + u64::from(host));
+                }
+            }
+            hosts.insert(
+                host,
+                HostState {
+                    last_seq: u64::from(host) * 10,
+                    threshold: Some(f64::from(host) + 0.5),
+                    train_sketch: Some(train),
+                    test_sketch: Some(test),
+                    ..Default::default()
+                },
+            );
+        }
+        Snapshot {
+            seq: 3,
+            n_windows: 672,
+            hosts,
+            epoch: EpochState::default(),
+            drained: vec![1],
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encoded_bytes_match_pinned_fingerprints() {
+        // Pinned from the original clone-then-encode writer with the
+        // bytewise CRC: any change to the FSN1 layout or to a CRC value
+        // moves one of these.
+        let exact = sample().encode();
+        let sketch = sketch_sample().encode();
+        assert_eq!((exact.len(), fnv1a(&exact)), (647, 0x453d_01fc_76c6_362b));
+        assert_eq!(
+            (sketch.len(), fnv1a(&sketch)),
+            (9288, 0xfb7d_e5ca_3251_dc76)
+        );
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -466,7 +546,7 @@ mod tests {
         let dir = tmpdir("prune");
         for seq in 1..=4 {
             let snap = Snapshot { seq, ..sample() };
-            write_snapshot(&dir, &snap).unwrap();
+            write_snapshot(&dir, seq, &snap.encode()).unwrap();
         }
         let listed = list_snapshots(&dir).unwrap();
         assert_eq!(
@@ -499,16 +579,5 @@ mod tests {
         assert!(loaded.is_none());
         assert_eq!(discarded, 0);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn from_shards_merges_in_host_order() {
-        let mut s0 = ShardState::default();
-        let mut s1 = ShardState::default();
-        s0.hosts.insert(2, HostState::default());
-        s1.hosts.insert(1, HostState::default());
-        let snap = Snapshot::from_shards(5, 672, &[s0, s1], &EpochState::default());
-        assert_eq!(snap.hosts.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(snap.seq, 5);
     }
 }

@@ -111,8 +111,17 @@ impl WindowAccumulator {
     }
 
     /// Rebuild from `(window, count)` pairs (snapshot load). Duplicate
-    /// windows keep the first occurrence.
+    /// windows keep the first occurrence. Strictly ascending windows —
+    /// what [`iter`](WindowAccumulator::iter) yields, so every saved
+    /// image — build the map in one bulk pass; any other order goes
+    /// through [`insert`](WindowAccumulator::insert) one pair at a time.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        let pairs: Vec<(u32, u64)> = pairs.into_iter().collect();
+        if pairs.windows(2).all(|p| p[0].0 < p[1].0) {
+            return Self {
+                windows: pairs.into_iter().collect(),
+            };
+        }
         let mut acc = Self::new();
         for (w, c) in pairs {
             acc.insert(w, c);
@@ -355,6 +364,53 @@ mod tests {
         let acc = accumulate(&s, |w| w % 3 != 0);
         let back = WindowAccumulator::from_pairs(acc.iter());
         assert_eq!(back, acc);
+    }
+
+    /// The one-pair-at-a-time rebuild `from_pairs` must agree with.
+    fn insert_each(pairs: &[(u32, u64)]) -> WindowAccumulator {
+        let mut acc = WindowAccumulator::new();
+        for &(w, c) in pairs {
+            acc.insert(w, c);
+        }
+        acc
+    }
+
+    #[test]
+    fn from_pairs_falls_back_to_first_write_wins() {
+        for pairs in [
+            vec![],
+            vec![(4, 1)],
+            vec![(1, 1), (2, 2), (3, 3)],
+            vec![(3, 3), (1, 1), (2, 2)],
+            vec![(1, 1), (1, 9), (2, 2)],
+            vec![(5, 1), (2, 2), (5, 7)],
+        ] {
+            assert_eq!(
+                WindowAccumulator::from_pairs(pairs.clone()),
+                insert_each(&pairs)
+            );
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn from_pairs_matches_insert_loop(
+            pairs in proptest::collection::vec((0u32..64, any::<u64>()), 0..96),
+            sort in any::<bool>(),
+        ) {
+            let mut pairs = pairs;
+            if sort {
+                // Strictly ascending input: the bulk path.
+                pairs.sort_by_key(|&(w, _)| w);
+                pairs.dedup_by_key(|&mut (w, _)| w);
+            }
+            prop_assert_eq!(
+                WindowAccumulator::from_pairs(pairs.clone()),
+                insert_each(&pairs)
+            );
+        }
     }
 
     #[test]

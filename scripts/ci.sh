@@ -66,6 +66,11 @@
 # self-checks pass (a violated invariant prints a warning we grep for).
 # The sketchablate smoke verifies the sketch-vs-exact rank error bound on
 # a small corpus the same way.
+#
+# The perfbench stage runs the benchmark package's self-tests: each
+# workload is checked against the repository's own experiment harnesses,
+# so a change that alters what a workload computes fails here. The
+# package is its own Cargo workspace, hence the manifest path.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -260,5 +265,6 @@ grep -q "sketchablate self-check: worst rank deviation" "$ablate_log" || {
     exit 1
 }
 cargo bench -p bench -- --test
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all gates passed"
