@@ -71,12 +71,9 @@ pub enum SnapshotDefect {
 
 fn encode_accumulator(out: &mut Vec<u8>, acc: &WindowAccumulator) {
     put_u32(out, acc.len() as u32);
-    out.reserve(acc.len() * 12);
     for (w, c) in acc.iter() {
-        let mut pair = [0u8; 12];
-        pair[..4].copy_from_slice(&w.to_le_bytes());
-        pair[4..].copy_from_slice(&c.to_le_bytes());
-        out.extend_from_slice(&pair);
+        put_u32(out, w);
+        put_u64(out, c);
     }
 }
 

@@ -111,22 +111,16 @@ impl WindowAccumulator {
     }
 
     /// Rebuild from `(window, count)` pairs (snapshot load). Duplicate
-    /// windows keep the first occurrence. Strictly ascending windows —
-    /// what [`iter`](WindowAccumulator::iter) yields, so every saved
-    /// image — build the map in one bulk pass; any other order goes
-    /// through [`insert`](WindowAccumulator::insert) one pair at a time.
+    /// windows keep the first occurrence, as repeated
+    /// [`insert`](WindowAccumulator::insert)s would: the stable sort keeps
+    /// duplicates in input order and `dedup_by_key` keeps the first.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
-        let pairs: Vec<(u32, u64)> = pairs.into_iter().collect();
-        if pairs.windows(2).all(|p| p[0].0 < p[1].0) {
-            return Self {
-                windows: pairs.into_iter().collect(),
-            };
+        let mut pairs: Vec<(u32, u64)> = pairs.into_iter().collect();
+        pairs.sort_by_key(|&(w, _)| w);
+        pairs.dedup_by_key(|&mut (w, _)| w);
+        Self {
+            windows: pairs.into_iter().collect(),
         }
-        let mut acc = Self::new();
-        for (w, c) in pairs {
-            acc.insert(w, c);
-        }
-        acc
     }
 
     /// Empirical distribution over the recorded windows; `None` when no
@@ -376,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_falls_back_to_first_write_wins() {
+    fn from_pairs_keeps_first_write_on_duplicates() {
         for pairs in [
             vec![],
             vec![(4, 1)],
@@ -402,7 +396,7 @@ mod tests {
         ) {
             let mut pairs = pairs;
             if sort {
-                // Strictly ascending input: the bulk path.
+                // Strictly ascending input, as every saved image is.
                 pairs.sort_by_key(|&(w, _)| w);
                 pairs.dedup_by_key(|&mut (w, _)| w);
             }
