@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use synthgen::{
     render_flows_to_frames, render_window_flows, user_week_series, Population, PopulationConfig,
 };
-use tailstats::{EmpiricalDist, P2Quantile};
+use tailstats::{EmpiricalDist, KllSketch, P2Quantile, QuantileSource};
 
 fn packet_layer(c: &mut Criterion) {
     let frame = build_tcp_frame(
@@ -132,6 +132,32 @@ fn stats_layer(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fleet detector's sketch reads: one host-week (672 windows) in a
+/// compacted sketch at the fleet budget, read as megafleet reads it — an
+/// interpolated quantile plus a 64-size mean FN point query.
+fn sketch_query_layer(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut sketch = KllSketch::new(0.01);
+    for _ in 0..672 {
+        sketch.insert(rng.random_range(0..5_000));
+    }
+    assert!(sketch.compactions() > 0, "the routine must read a compacted sketch");
+    let sweep = AttackSweep::new(sketch.max().max(1.0), 64);
+    let t = sketch.quantile_discrete(0.99);
+    let src = QuantileSource::Sketch(sketch);
+
+    let mut group = c.benchmark_group("sketch_host_reads");
+    group.bench_function("quantile_and_mean_fn_672w_x64", |b| {
+        b.iter(|| {
+            black_box((
+                src.quantile(black_box(0.99)),
+                sweep.mean_fn_source(&src, black_box(t)),
+            ))
+        })
+    });
+    group.finish();
+}
+
 fn generator_layer(c: &mut Criterion) {
     let pop = Population::sample(PopulationConfig {
         n_users: 8,
@@ -223,6 +249,7 @@ criterion_group!(
     packet_layer,
     flow_layer,
     stats_layer,
+    sketch_query_layer,
     generator_layer,
     sweep_kernel_layer
 );

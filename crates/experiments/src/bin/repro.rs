@@ -289,16 +289,21 @@ fn write_metrics(path: &PathBuf, metrics: &mut hids_metrics::Registry) {
     }
 }
 
-/// `BENCH_megafleet.json`: wall time plus the bounded-memory evidence.
+/// `BENCH_megafleet.json`: wall time, its generator/detector split, and
+/// the bounded-memory evidence.
 fn megafleet_json(args: &Args, r: &megafleet::MegafleetResult, secs: f64) -> String {
     format!(
         "{{\n  \"users\": {},\n  \"sketch_eps\": {},\n  \"threads\": {},\n  \"wall_secs\": {:.3},\n  \
+         \"generator_secs\": {:.3},\n  \"detector_secs\": {:.3},\n  \"detector_hosts_per_sec\": {:.0},\n  \
          \"peak_host_state_bytes\": {},\n  \"total_sketch_bytes\": {},\n  \"total_compactions\": {},\n  \
          \"max_rank_error_ppm\": {},\n  \"mean_utility\": {:.6},\n  \"hosts_csv_fnv64\": \"{:016x}\"\n}}\n",
         args.users,
         args.sketch_eps,
         hids_core::current_threads(),
         secs,
+        r.generator_secs,
+        r.detector_secs,
+        r.detector_hosts_per_sec(),
         r.peak_host_state_bytes,
         r.total_sketch_bytes,
         r.total_compactions,

@@ -22,8 +22,16 @@
 //! at any `--threads` setting; [`MegafleetResult::check`] verifies the
 //! merge-order half of that claim internally by re-pooling the shard
 //! sketches in reversed order.
+//!
+//! Timing: each host's wall time is split into generator seconds
+//! (`sample_user` + `user_week_series`, the synthetic input) and detector
+//! seconds (sketch inserts + threshold fit + scoring, the system under
+//! test), summed over shards. Only the detector seconds enter
+//! [`MegafleetResult::detector_hosts_per_sec`]. Both are wall-clock and
+//! vary run to run; nothing deterministic depends on them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use flowtab::FeatureKind;
 use hids_core::{par_map_range, score_source, AttackSweep, ThresholdHeuristic};
@@ -110,6 +118,8 @@ struct ShardOut {
     utility_sum: f64,
     fp_sum: f64,
     alarms: u64,
+    generator_secs: f64,
+    detector_secs: f64,
     pooled: Option<KllSketch>,
 }
 
@@ -141,6 +151,12 @@ pub struct MegafleetResult {
     pub mean_fp: f64,
     /// Total benign alarms the fleet would deliver to the console.
     pub total_false_alarms: u64,
+    /// Seconds spent generating hosts' input (`sample_user` +
+    /// `user_week_series`), summed over shards.
+    pub generator_secs: f64,
+    /// Seconds spent in the detector (sketch inserts + threshold fit +
+    /// scoring), summed over shards.
+    pub detector_secs: f64,
     /// Pooled training sketch over the whole fleet (population tail).
     pub global: Option<KllSketch>,
     /// Whether re-pooling the shard sketches in reversed order produced
@@ -181,19 +197,21 @@ fn process_shard(
         utility_sum: 0.0,
         fp_sum: 0.0,
         alarms: 0,
+        generator_secs: 0.0,
+        detector_secs: 0.0,
         pooled: None,
     };
     let mut shard_sketches: Vec<KllSketch> = Vec::new();
     for id in lo..hi {
+        let started = Instant::now();
         let profile = sample_user(&pcfg, id as u32);
+        let train_counts = user_week_series(&profile, cfg.seed, 0, windowing).feature(cfg.feature);
+        let test_counts = user_week_series(&profile, cfg.seed, 1, windowing).feature(cfg.feature);
+        let generated = Instant::now();
         let mut train = KllSketch::new(cfg.sketch_eps);
-        for c in user_week_series(&profile, cfg.seed, 0, windowing).feature(cfg.feature) {
-            train.insert(c);
-        }
+        train.extend_from_counts(&train_counts);
         let mut test = KllSketch::new(cfg.sketch_eps);
-        for c in user_week_series(&profile, cfg.seed, 1, windowing).feature(cfg.feature) {
-            test.insert(c);
-        }
+        test.extend_from_counts(&test_counts);
 
         let state_bytes = train.state_bytes() + test.state_bytes();
         out.peak_host_bytes = out.peak_host_bytes.max(state_bytes);
@@ -204,15 +222,18 @@ fn process_shard(
         // A short, per-host attack sweep keeps scoring O(1) per host
         // while exercising the full sketch-backed FN path.
         let sweep = AttackSweep::new(train.max().max(1.0), 64);
+        let train_view = train.view();
+        let (q90, q95, q99) = (
+            train_view.quantile(0.90),
+            train_view.quantile(0.95),
+            train_view.quantile(0.99),
+        );
         let train_src = QuantileSource::Sketch(train);
         let threshold = heuristic.threshold_source(&train_src);
-        let (q90, q95, q99) = (
-            train_src.quantile(0.90),
-            train_src.quantile(0.95),
-            train_src.quantile(0.99),
-        );
         let test_src = QuantileSource::Sketch(test);
         let perf = score_source(&test_src, threshold, &sweep, cfg.w);
+        out.generator_secs += generated.duration_since(started).as_secs_f64();
+        out.detector_secs += generated.elapsed().as_secs_f64();
 
         let row = HostRow {
             id: id as u32,
@@ -287,6 +308,8 @@ pub fn run(cfg: &MegafleetConfig) -> MegafleetResult {
         mean_utility: 0.0,
         mean_fp: 0.0,
         total_false_alarms: 0,
+        generator_secs: 0.0,
+        detector_secs: 0.0,
         global: None,
         merge_order_ok: true,
     };
@@ -300,6 +323,8 @@ pub fn run(cfg: &MegafleetConfig) -> MegafleetResult {
         result.total_compactions += shard.total_compactions;
         result.max_rank_error_ppm = result.max_rank_error_ppm.max(shard.max_err_ppm);
         result.total_false_alarms += shard.alarms;
+        result.generator_secs += shard.generator_secs;
+        result.detector_secs += shard.detector_secs;
         utility_sum += shard.utility_sum;
         fp_sum += shard.fp_sum;
         result.shard_csvs.push(shard.csv);
@@ -358,6 +383,16 @@ impl MegafleetResult {
         h
     }
 
+    /// Hosts per second of detector time (inserts + fit + score),
+    /// generation excluded; 0 when nothing was timed.
+    pub fn detector_hosts_per_sec(&self) -> f64 {
+        if self.detector_secs > 0.0 {
+            self.n_hosts as f64 / self.detector_secs
+        } else {
+            0.0
+        }
+    }
+
     /// Fleet-level summary table.
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(
@@ -399,6 +434,18 @@ impl MegafleetResult {
                 g.state_bytes().to_string(),
             ]);
         }
+        t.row(vec![
+            "generator seconds".into(),
+            format!("{:.3}", self.generator_secs),
+        ]);
+        t.row(vec![
+            "detector seconds".into(),
+            format!("{:.3}", self.detector_secs),
+        ]);
+        t.row(vec![
+            "detector hosts/s".into(),
+            format!("{:.0}", self.detector_hosts_per_sec()),
+        ]);
         t.row(vec![
             "merge-order check".into(),
             if self.merge_order_ok { "ok" } else { "FAILED" }.into(),

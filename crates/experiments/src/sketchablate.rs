@@ -105,11 +105,13 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, eps: f64) -> AblateResult {
         sk_test.extend_from_counts(&test_counts);
 
         // Rank deviation: at each probe quantile, compare the exact CDF
-        // of the sketch's answer with the sketch's own CDF of it.
+        // of the sketch's answer with the sketch's own CDF of it, all read
+        // from one sorted view of the train sketch.
+        let view = sk_train.view();
         let mut rank_dev = [0.0; PROBE_QS.len()];
         for (i, &q) in PROBE_QS.iter().enumerate() {
-            let v = sk_train.quantile_discrete(q);
-            rank_dev[i] = (sk_train.cdf(v) - exact_train.cdf(v)).abs();
+            let v = view.quantile_discrete(q);
+            rank_dev[i] = (view.cdf(v) - exact_train.cdf(v)).abs();
         }
 
         let src_train = QuantileSource::Sketch(sk_train);

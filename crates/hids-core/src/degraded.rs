@@ -354,8 +354,13 @@ pub fn utility_of(w: f64, fp: f64, fn_rate: f64) -> f64 {
 /// and on the sketch backend it is the same quantity within the sketch's
 /// rank-error bound.
 pub fn score_source(test: &QuantileSource, threshold: f64, sweep: &AttackSweep, w: f64) -> UserPerf {
-    let fp = test.exceedance(threshold);
-    let fn_rate = sweep.mean_fn_source(test, threshold);
+    let (fp, fn_rate) = match test {
+        QuantileSource::Exact(d) => (d.exceedance(threshold), sweep.mean_fn(d, threshold)),
+        QuantileSource::Sketch(s) => {
+            let view = s.view();
+            (view.exceedance(threshold), sweep.mean_fn_view(&view, threshold))
+        }
+    };
     let utility = utility_of(w, fp, fn_rate);
     let false_alarms = (fp * test.len() as f64).round() as u64;
     UserPerf {

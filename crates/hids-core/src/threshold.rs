@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tailstats::{EmpiricalDist, QuantileSource};
+use tailstats::{EmpiricalDist, KllView, QuantileSource};
 
 use crate::sweep::SweepTable;
 
@@ -73,10 +73,19 @@ impl AttackSweep {
     }
 
     /// [`mean_fn`](Self::mean_fn) over either quantile backend. The exact
-    /// arm performs the identical accumulation (same sizes, same `below`
-    /// values, same order), so it is bit-identical to `mean_fn`.
+    /// arm is `mean_fn` itself; the sketch arm builds one sorted view and
+    /// answers every attack size's `below` read from it.
     pub fn mean_fn_source(&self, source: &QuantileSource, t: f64) -> f64 {
-        let sum: f64 = self.sizes.iter().map(|&b| source.below(t - b)).sum();
+        match source {
+            QuantileSource::Exact(d) => self.mean_fn(d, t),
+            QuantileSource::Sketch(s) => self.mean_fn_view(&s.view(), t),
+        }
+    }
+
+    /// [`mean_fn`](Self::mean_fn) read off an already-built sketch view,
+    /// with the same accumulation order.
+    pub(crate) fn mean_fn_view(&self, view: &KllView, t: f64) -> f64 {
+        let sum: f64 = self.sizes.iter().map(|&b| view.below(t - b)).sum();
         sum / self.sizes.len() as f64
     }
 }

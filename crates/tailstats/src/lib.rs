@@ -16,7 +16,8 @@
 //!   for the paper's (unsuccessful) natural-clusters probe;
 //! * [`Confusion`] — precision/recall/F-measure for threshold heuristics;
 //! * [`KllSketch`] — deterministic integer-only mergeable rank sketch with
-//!   a guaranteed rank-error ledger, for fleet-scale per-host state;
+//!   a guaranteed rank-error ledger, for fleet-scale per-host state; its
+//!   [`KllView`] answers many rank/tail reads from one sorted build;
 //! * [`QuantileSource`] — one facade over `EmpiricalDist | KllSketch` with
 //!   the pinned boundary/NaN contract both backends honour.
 
@@ -44,5 +45,5 @@ pub use metrics::Confusion;
 pub use moments::Moments;
 pub use p2::P2Quantile;
 pub use resample::{bootstrap_ci, gini, ks_distance, lorenz_curve, BootstrapCi};
-pub use sketch::{KllSketch, SketchDecodeError};
+pub use sketch::{KllSketch, KllView, SketchDecodeError};
 pub use source::QuantileSource;

@@ -105,9 +105,8 @@ impl KllSketch {
             eps.is_finite() && eps > 0.0 && eps < 1.0,
             "sketch eps must lie in (0, 1)"
         );
-        // Round up so the realized budget never exceeds the requested one
-        // is the wrong direction — round *down* the permissiveness: a
-        // smaller eps_ppm is strictly tighter. Use ceil to avoid 0.
+        // `ceil` can loosen the budget by under 1 ppm of the total weight;
+        // it is there so that no eps in (0, 1) rounds to a zero budget.
         let ppm = (eps * PPM as f64).ceil() as u64;
         Self::with_eps_ppm(ppm.clamp(1, PPM - 1) as u32)
     }
@@ -363,124 +362,68 @@ impl KllSketch {
 
     /// All stored items with their weights, aggregated by value and sorted
     /// ascending: `(value, weight)` with weights summing to `len()`.
+    ///
+    /// Every level is already sorted, so the levels are merged one at a
+    /// time into the running result instead of flattened and re-sorted.
     pub fn weighted_items(&self) -> Vec<(u64, u64)> {
-        let mut flat: Vec<(u64, u64)> = Vec::with_capacity(self.stored_items() as usize);
+        let cap = self.stored_items() as usize;
+        let mut out: Vec<(u64, u64)> = Vec::with_capacity(cap);
+        let mut prev: Vec<(u64, u64)> = Vec::with_capacity(cap);
         for (l, items) in self.levels.iter().enumerate() {
             let w = 1u64 << l.min(63);
-            flat.extend(items.iter().map(|&v| (v, w)));
-        }
-        flat.sort_unstable_by_key(|&(v, _)| v);
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(flat.len());
-        for (v, w) in flat {
-            match out.last_mut() {
-                Some(last) if last.0 == v => last.1 = last.1.saturating_add(w),
-                _ => out.push((v, w)),
+            std::mem::swap(&mut out, &mut prev);
+            out.clear();
+            let mut rest = prev.iter().copied().peekable();
+            for &v in items {
+                while let Some(run) = rest.next_if(|&(p, _)| p <= v) {
+                    push_run(&mut out, run);
+                }
+                push_run(&mut out, (v, w));
             }
+            rest.for_each(|run| push_run(&mut out, run));
         }
         out
     }
 
-    /// The value at expanded (0-based) rank `r`, i.e. the `r`-th element
-    /// of the weight-expanded sorted sample. `r` is clamped to the last
-    /// item. Returns 0.0 on an empty sketch.
-    fn value_at_rank(&self, r: u64) -> f64 {
-        let items = self.weighted_items();
+    /// A query-only sorted view of the current state, answering every
+    /// rank and tail query by binary search. Build it once and read many
+    /// points from it; the sketch's own query methods each build one.
+    pub fn view(&self) -> KllView {
+        let mut runs = self.weighted_items();
         let mut cum = 0u64;
-        for &(v, w) in &items {
-            cum = cum.saturating_add(w);
-            if r < cum {
-                return v as f64;
-            }
+        for run in &mut runs {
+            cum = cum.saturating_add(run.1);
+            run.1 = cum;
         }
-        match items.last() {
-            Some(&(v, _)) => v as f64,
-            None => 0.0,
+        KllView {
+            runs,
+            weight: self.weight,
         }
     }
 
-    /// Quantile by linear interpolation over the weight-expanded sample
-    /// (Hyndman–Fan type 7) — the same formula as
-    /// [`EmpiricalDist::quantile`](crate::EmpiricalDist::quantile), so an
-    /// uncompacted sketch answers bit-identically to the exact path.
-    /// Boundary/NaN contract: see [`crate::source::QuantileSource`].
-    /// Returns 0.0 on an empty sketch.
+    /// Interpolated quantile; see [`KllView::quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        if self.weight == 1 {
-            return self.value_at_rank(0);
-        }
-        let pos = q * (self.weight - 1) as f64;
-        let lo = pos.floor();
-        let hi = pos.ceil();
-        // NaN `pos` floors/ceils to NaN and casts to 0: both ranks become
-        // 0 and the branch below returns the minimum — the same pinned
-        // behavior as the exact path.
-        let lo_r = lo as u64;
-        let hi_r = hi as u64;
-        if lo_r == hi_r {
-            self.value_at_rank(lo_r)
-        } else {
-            let frac = pos - lo;
-            self.value_at_rank(lo_r) * (1.0 - frac) + self.value_at_rank(hi_r) * frac
-        }
+        self.view().quantile(q)
     }
 
-    /// The smallest stored value `v` such that at least `q·W` expanded
-    /// samples are `≤ v` — the sketch analogue of
-    /// [`EmpiricalDist::quantile_discrete`](crate::EmpiricalDist::quantile_discrete).
-    /// Returns 0.0 on an empty sketch.
+    /// Discrete quantile; see [`KllView::quantile_discrete`].
     pub fn quantile_discrete(&self, q: f64) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.weight as f64).ceil() as u64).clamp(1, self.weight);
-        self.value_at_rank(rank - 1)
+        self.view().quantile_discrete(q)
     }
 
-    /// Fraction of expanded samples `≤ x`. Returns 0.0 on an empty sketch.
+    /// Fraction of expanded samples `≤ x`; see [`KllView::cdf`].
     pub fn cdf(&self, x: f64) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        let mut cum = 0u64;
-        for &(v, w) in &self.weighted_items() {
-            if v as f64 <= x {
-                cum = cum.saturating_add(w);
-            } else {
-                break;
-            }
-        }
-        cum as f64 / self.weight as f64
+        self.view().cdf(x)
     }
 
-    /// Fraction of expanded samples strictly greater than `x` (the
-    /// false-positive rate of threshold `x`).
+    /// Fraction of expanded samples `> x`; see [`KllView::exceedance`].
     pub fn exceedance(&self, x: f64) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        1.0 - self.cdf(x)
+        self.view().exceedance(x)
     }
 
-    /// Fraction of expanded samples strictly below `x` (the paper's
-    /// false-negative rate via `below(T - b)`).
+    /// Fraction of expanded samples `< x`; see [`KllView::below`].
     pub fn below(&self, x: f64) -> f64 {
-        if self.weight == 0 {
-            return 0.0;
-        }
-        let mut cum = 0u64;
-        for &(v, w) in &self.weighted_items() {
-            if (v as f64) < x {
-                cum = cum.saturating_add(w);
-            } else {
-                break;
-            }
-        }
-        cum as f64 / self.weight as f64
+        self.view().below(x)
     }
 
     /// Exact minimum sample (0.0 on an empty sketch).
@@ -614,6 +557,120 @@ impl KllSketch {
             levels,
             parities,
         })
+    }
+}
+
+/// Append `(value, weight)` to ascending runs, folding it into the last
+/// run when the value repeats.
+fn push_run(runs: &mut Vec<(u64, u64)>, (v, w): (u64, u64)) {
+    match runs.last_mut() {
+        Some(last) if last.0 == v => last.1 = last.1.saturating_add(w),
+        _ => runs.push((v, w)),
+    }
+}
+
+/// A frozen, query-only sorted view of a [`KllSketch`], built by
+/// [`KllSketch::view`].
+///
+/// It holds the distinct stored values in ascending order, each with the
+/// cumulative weight of every value up to and including it, plus the
+/// sketch's total weight. A read is one `partition_point` over those runs,
+/// `O(log k)` for `k` distinct stored values. The answers are bit-identical
+/// to a linear walk over [`KllSketch::weighted_items`].
+#[derive(Debug, Clone)]
+pub struct KllView {
+    /// `(value, cumulative weight through value)`, ascending in value.
+    runs: Vec<(u64, u64)>,
+    /// Total samples ingested by the sketch (the rate denominator).
+    weight: u64,
+}
+
+impl KllView {
+    /// The value at expanded (0-based) rank `r`, i.e. the `r`-th element
+    /// of the weight-expanded sorted sample. `r` is clamped to the last
+    /// item. Returns 0.0 when nothing is stored.
+    fn value_at_rank(&self, r: u64) -> f64 {
+        let i = self.runs.partition_point(|&(_, cum)| cum <= r);
+        match self.runs.get(i).or(self.runs.last()) {
+            Some(&(v, _)) => v as f64,
+            None => 0.0,
+        }
+    }
+
+    /// Total weight of the stored values `v` with `keep(v as f64)`, where
+    /// `keep` holds for a prefix of the ascending values.
+    fn prefix_weight(&self, keep: impl Fn(f64) -> bool) -> u64 {
+        let k = self.runs.partition_point(|&(v, _)| keep(v as f64));
+        k.checked_sub(1).map_or(0, |i| self.runs[i].1)
+    }
+
+    /// Quantile by linear interpolation over the weight-expanded sample
+    /// (Hyndman–Fan type 7) — the same formula as
+    /// [`EmpiricalDist::quantile`](crate::EmpiricalDist::quantile), so an
+    /// uncompacted sketch answers bit-identically to the exact path.
+    /// Boundary/NaN contract: see [`crate::source::QuantileSource`].
+    /// Returns 0.0 on an empty sketch.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        if self.weight == 1 {
+            return self.value_at_rank(0);
+        }
+        let pos = q * (self.weight - 1) as f64;
+        let lo = pos.floor();
+        let hi = pos.ceil();
+        // NaN `pos` floors/ceils to NaN and casts to 0: both ranks become
+        // 0 and the branch below returns the minimum — the same pinned
+        // behavior as the exact path.
+        let lo_r = lo as u64;
+        let hi_r = hi as u64;
+        if lo_r == hi_r {
+            self.value_at_rank(lo_r)
+        } else {
+            let frac = pos - lo;
+            self.value_at_rank(lo_r) * (1.0 - frac) + self.value_at_rank(hi_r) * frac
+        }
+    }
+
+    /// The smallest stored value `v` such that at least `q·W` expanded
+    /// samples are `≤ v` — the sketch analogue of
+    /// [`EmpiricalDist::quantile_discrete`](crate::EmpiricalDist::quantile_discrete).
+    /// Returns 0.0 on an empty sketch.
+    pub fn quantile_discrete(&self, q: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * self.weight as f64).ceil() as u64).clamp(1, self.weight);
+        self.value_at_rank(rank - 1)
+    }
+
+    /// Fraction of expanded samples `≤ x`. Returns 0.0 on an empty sketch.
+    pub fn cdf(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        self.prefix_weight(|v| v <= x) as f64 / self.weight as f64
+    }
+
+    /// Fraction of expanded samples strictly greater than `x` (the
+    /// false-positive rate of threshold `x`).
+    pub fn exceedance(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        1.0 - self.cdf(x)
+    }
+
+    /// Fraction of expanded samples strictly below `x` (the paper's
+    /// false-negative rate via `below(T - b)`).
+    pub fn below(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        self.prefix_weight(|v| v < x) as f64 / self.weight as f64
     }
 }
 

@@ -265,3 +265,274 @@ proptest! {
         prop_assert_eq!(back.to_bytes(), all.to_bytes());
     }
 }
+
+/// The query path as it was before [`tailstats::KllView`]: every query
+/// rebuilt the weighted items by flatten-and-sort and walked them
+/// linearly. Kept verbatim as the reference the view must reproduce bit
+/// for bit. Its state is decoded from the sketch's `KLL1` bytes, so it
+/// reads exactly the levels the sketch holds.
+struct LinearWalk {
+    weight: u64,
+    levels: Vec<Vec<u64>>,
+}
+
+impl LinearWalk {
+    fn of(sketch: &KllSketch) -> Self {
+        let bytes = sketch.to_bytes();
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        // magic, eps_ppm | weight, err, compactions, min, max | sum, sum_sq
+        let weight = u64_at(8);
+        let mut at = 8 + 5 * 8 + 2 * 16;
+        let n_levels = u32_at(at) as usize;
+        at += 4;
+        let mut levels = Vec::with_capacity(n_levels);
+        for _ in 0..n_levels {
+            let len = u32_at(at + 1) as usize;
+            at += 5;
+            levels.push((0..len).map(|i| u64_at(at + 8 * i)).collect());
+            at += 8 * len;
+        }
+        assert_eq!(at, bytes.len(), "KLL1 layout drifted from the oracle's decoder");
+        Self { weight, levels }
+    }
+
+    fn stored_items(&self) -> u64 {
+        self.levels.iter().map(|l| l.len() as u64).sum()
+    }
+
+    fn weighted_items(&self) -> Vec<(u64, u64)> {
+        let mut flat: Vec<(u64, u64)> = Vec::with_capacity(self.stored_items() as usize);
+        for (l, items) in self.levels.iter().enumerate() {
+            let w = 1u64 << l.min(63);
+            flat.extend(items.iter().map(|&v| (v, w)));
+        }
+        flat.sort_unstable_by_key(|&(v, _)| v);
+        let mut out: Vec<(u64, u64)> = Vec::with_capacity(flat.len());
+        for (v, w) in flat {
+            match out.last_mut() {
+                Some(last) if last.0 == v => last.1 = last.1.saturating_add(w),
+                _ => out.push((v, w)),
+            }
+        }
+        out
+    }
+
+    fn value_at_rank(&self, r: u64) -> f64 {
+        let items = self.weighted_items();
+        let mut cum = 0u64;
+        for &(v, w) in &items {
+            cum = cum.saturating_add(w);
+            if r < cum {
+                return v as f64;
+            }
+        }
+        match items.last() {
+            Some(&(v, _)) => v as f64,
+            None => 0.0,
+        }
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        if self.weight == 1 {
+            return self.value_at_rank(0);
+        }
+        let pos = q * (self.weight - 1) as f64;
+        let lo = pos.floor();
+        let hi = pos.ceil();
+        let lo_r = lo as u64;
+        let hi_r = hi as u64;
+        if lo_r == hi_r {
+            self.value_at_rank(lo_r)
+        } else {
+            let frac = pos - lo;
+            self.value_at_rank(lo_r) * (1.0 - frac) + self.value_at_rank(hi_r) * frac
+        }
+    }
+
+    fn quantile_discrete(&self, q: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * self.weight as f64).ceil() as u64).clamp(1, self.weight);
+        self.value_at_rank(rank - 1)
+    }
+
+    fn cdf(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let mut cum = 0u64;
+        for &(v, w) in &self.weighted_items() {
+            if v as f64 <= x {
+                cum = cum.saturating_add(w);
+            } else {
+                break;
+            }
+        }
+        cum as f64 / self.weight as f64
+    }
+
+    fn exceedance(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        1.0 - self.cdf(x)
+    }
+
+    fn below(&self, x: f64) -> f64 {
+        if self.weight == 0 {
+            return 0.0;
+        }
+        let mut cum = 0u64;
+        for &(v, w) in &self.weighted_items() {
+            if (v as f64) < x {
+                cum = cum.saturating_add(w);
+            } else {
+                break;
+            }
+        }
+        cum as f64 / self.weight as f64
+    }
+}
+
+/// Duplicate-heavy streams: a handful of distinct values, long runs.
+fn duplicate_heavy() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(prop_oneof![Just(0u64), Just(1u64), 0u64..4, 0u64..50], 0..3000)
+}
+
+/// Any of the stream shapes the differential test covers.
+fn any_stream() -> impl Strategy<Value = Vec<u64>> {
+    prop_oneof![
+        heavy_tailed(),
+        duplicate_heavy(),
+        proptest::collection::vec(0u64..5_000, 0..2000),
+        proptest::collection::vec(0u64..1_000_000, 0..2),
+    ]
+}
+
+/// Assert that the view and the sketch's own queries both equal the
+/// linear-walk oracle, bit for bit, at every probe.
+fn assert_view_matches_oracle(sketch: &KllSketch, qs: &[f64], xs: &[f64]) {
+    let oracle = LinearWalk::of(sketch);
+    let view = sketch.view();
+    assert_eq!(sketch.weighted_items(), oracle.weighted_items());
+    for &q in qs {
+        let want = (oracle.quantile(q), oracle.quantile_discrete(q));
+        for got in [
+            (view.quantile(q), view.quantile_discrete(q)),
+            (sketch.quantile(q), sketch.quantile_discrete(q)),
+        ] {
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "quantile({q})");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "quantile_discrete({q})");
+        }
+    }
+    for &x in xs {
+        let want = [oracle.cdf(x), oracle.exceedance(x), oracle.below(x)];
+        for got in [
+            [view.cdf(x), view.exceedance(x), view.below(x)],
+            [sketch.cdf(x), sketch.exceedance(x), sketch.below(x)],
+        ] {
+            for (name, g, w) in [
+                ("cdf", got[0], want[0]),
+                ("exceedance", got[1], want[1]),
+                ("below", got[2], want[2]),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "{name}({x})");
+            }
+        }
+    }
+}
+
+/// Probe quantiles: NaN, below 0, 0, 1, above 1, and random interior.
+fn probe_qs(random: &[f64]) -> Vec<f64> {
+    let mut qs = vec![f64::NAN, -0.5, -0.0, 0.0, 1.0, 1.5, f64::INFINITY, f64::NEG_INFINITY];
+    qs.extend_from_slice(&[0.5, 0.9, 0.95, 0.99]);
+    qs.extend_from_slice(random);
+    qs
+}
+
+/// Probe points: NaN, ±∞, negative, exactly at every stored value, and
+/// between every pair of adjacent stored values (plus random reals).
+fn probe_xs(sketch: &KllSketch, random: &[f64]) -> Vec<f64> {
+    let mut xs = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.5, 0.0];
+    let values: Vec<f64> = sketch.weighted_items().iter().map(|&(v, _)| v as f64).collect();
+    xs.extend_from_slice(&values);
+    for pair in values.windows(2) {
+        xs.push(pair[0] + (pair[1] - pair[0]) / 2.0);
+    }
+    if let Some(&last) = values.last() {
+        xs.push(last + 0.5);
+        xs.push(last + 1.0);
+    }
+    xs.extend_from_slice(random);
+    xs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The sorted view answers every query bit-identically to the linear
+    /// walk it replaced: compacted and uncompacted sketches over several
+    /// stream shapes, at any budget in [0.01, 0.2].
+    #[test]
+    fn sketch_view_matches_linear_walk(
+        stream in any_stream(),
+        eps in 0.01f64..0.2,
+        rq in proptest::collection::vec(0f64..1.0, 4..8),
+        rx in proptest::collection::vec(-10f64..6_000.0, 4..8),
+    ) {
+        let mut s = KllSketch::new(eps);
+        s.extend_from_counts(&stream);
+        assert_view_matches_oracle(&s, &probe_qs(&rq), &probe_xs(&s, &rx));
+    }
+
+    /// Merged (uncompressed and compressed) and pooled sketches, whose
+    /// levels hold the same value at several weights.
+    #[test]
+    fn sketch_view_matches_linear_walk_after_merge_and_pool(
+        a in any_stream(),
+        b in any_stream(),
+        c in heavy_tailed(),
+        eps in 0.01f64..0.2,
+        rq in proptest::collection::vec(0f64..1.0, 2..4),
+    ) {
+        let parts: Vec<KllSketch> = [&a, &b, &c]
+            .iter()
+            .map(|xs| {
+                let mut s = KllSketch::new(eps);
+                s.extend_from_counts(xs);
+                s
+            })
+            .collect();
+        let mut merged = parts[0].clone();
+        merged.merge(&parts[1]);
+        merged.merge(&parts[2]);
+        let refs: Vec<&KllSketch> = parts.iter().collect();
+        let pooled = KllSketch::pool(&refs);
+        let mut compressed = merged.clone();
+        compressed.compress();
+        for s in [&merged, &compressed, &pooled] {
+            assert_view_matches_oracle(s, &probe_qs(&rq), &probe_xs(s, &[]));
+        }
+    }
+
+    /// Empty and single-item sketches at every probe.
+    #[test]
+    fn sketch_view_matches_linear_walk_when_empty_or_single(
+        v in 0u64..1_000_000,
+        eps in 0.01f64..0.2,
+        rq in proptest::collection::vec(0f64..1.0, 2..4),
+    ) {
+        let empty = KllSketch::new(eps);
+        assert_view_matches_oracle(&empty, &probe_qs(&rq), &probe_xs(&empty, &[v as f64]));
+        let mut single = KllSketch::new(eps);
+        single.insert(v);
+        assert_view_matches_oracle(&single, &probe_qs(&rq), &probe_xs(&single, &[]));
+    }
+}

@@ -64,6 +64,8 @@
 # with its health gauges exported, asserting the tailstats_sketch_*
 # families exist and that the run's internal merge-order / rank-budget
 # self-checks pass (a violated invariant prints a warning we grep for).
+# Its hosts-CSV fingerprint is pinned: a change to the sketch query path
+# that moved any threshold, quantile or score would pass the other checks.
 # The sketchablate smoke verifies the sketch-vs-exact rank error bound on
 # a small corpus the same way.
 #
@@ -238,10 +240,17 @@ grep -Eq '"end_to_end_events_per_sec": [1-9][0-9]*' \
 cargo bench -p bench --bench pipeline -- --test
 mega_metrics="target/ci-megafleet.prom"
 mega_log="target/ci-megafleet.log"
-rm -f "$mega_metrics" "$mega_log"
+mega_out="target/ci-megafleet.out"
+mega_fnv="a53961acf65ed9fa"
+rm -f "$mega_metrics" "$mega_log" "$mega_out"
 cargo run -q --release -p experiments --bin repro -- \
     --users 20000 --sketch-eps 0.01 --metrics-out "$mega_metrics" \
-    megafleet 2> "$mega_log"
+    megafleet > "$mega_out" 2> "$mega_log"
+grep -Eq "hosts csv fnv64 +$mega_fnv\$" "$mega_out" || {
+    echo "ci.sh: megafleet hosts csv fnv64 is not $mega_fnv" >&2
+    cat "$mega_out" >&2
+    exit 1
+}
 for family in tailstats_sketch_bytes_total tailstats_sketch_peak_host_bytes \
     tailstats_sketch_compactions_total tailstats_sketch_rank_error_ppm_max; do
     grep -q "^# TYPE $family " "$mega_metrics" || {
