@@ -37,8 +37,8 @@ use crate::epoch::{
     RolloutConfig, RolloutEvent,
 };
 use crate::queue::{Admit, Popped, QueueConfig, ShardQueue};
-use crate::snapshot;
-use crate::state::{ApplyConfig, ApplyOutcome, HostState, ShadowCtx, ShardState};
+use crate::snapshot::{self, Link};
+use crate::state::{ApplyConfig, ApplyOutcome, HostState, Journal, ShadowCtx, ShardState};
 use crate::supervisor::{SupervisorConfig, Worker, WorkerStatus};
 use crate::wal::{AppendOutcome, KillSwitch, WalRecord, WalWriter};
 
@@ -51,7 +51,8 @@ pub struct DaemonConfig {
     pub n_windows: u32,
     /// Quantile for per-host live thresholds.
     pub threshold_q: f64,
-    /// Write a snapshot after at least this many applied batches.
+    /// Write a checkpoint (a snapshot base or a delta) after at least
+    /// this many applied batches.
     pub snapshot_every: u64,
     /// Per-shard queue sizing and shedding.
     pub queue: QueueConfig,
@@ -169,8 +170,12 @@ pub struct DaemonStats {
     pub rejected: u64,
     /// Circuit-breaker trips (shards lost this lifetime).
     pub breaker_trips: u64,
-    /// Snapshots successfully installed.
+    /// Checkpoints successfully installed, bases and deltas alike.
     pub snapshots_written: u64,
+    /// Bytes of snapshot (base) images installed.
+    pub checkpoint_base_bytes: u64,
+    /// Bytes of delta images installed.
+    pub checkpoint_delta_bytes: u64,
     /// Test batches refused at the canary barrier because their windows
     /// extend past the in-flight candidate's soak end; the source retries
     /// them after the promote/rollback decision.
@@ -202,10 +207,15 @@ impl DaemonStats {
 /// What [`Daemon::open`] reconstructed from disk.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Sequence of the snapshot loaded, if any.
+    /// Sequence of the snapshot (base) loaded, if any.
     pub snapshot_seq: Option<u64>,
     /// Newer-but-damaged snapshots skipped over.
     pub snapshots_discarded: u32,
+    /// Deltas folded onto the loaded snapshot.
+    pub deltas_applied: u32,
+    /// Deltas of the loaded snapshot's chain left out: a damaged one, or
+    /// one that does not extend the chain, and every delta after it.
+    pub deltas_discarded: u32,
     /// Valid frames found in the WAL.
     pub wal_batches: u64,
     /// Frames that advanced state on replay.
@@ -242,9 +252,14 @@ pub struct Daemon {
     tick: u64,
     next_snapshot_seq: u64,
     applied_since_snapshot: u64,
-    /// Byte length of the last image this process wrote (0 before the
-    /// first); the next image's buffer is sized from it.
-    last_snapshot_len: usize,
+    /// The chain the next delta would extend. `None` until this process
+    /// writes its first base, so state replayed from the WAL always
+    /// reaches disk in a base.
+    chain: Option<Chain>,
+    /// Buffer the deltas are encoded into, kept across checkpoints so
+    /// that writing one allocates nothing: between checkpoints the heap
+    /// then holds no short-lived buffer among the growing host tables.
+    delta_buf: Vec<u8>,
     stats: DaemonStats,
     completions: Vec<Completion>,
     epoch: EpochState,
@@ -263,6 +278,19 @@ pub struct Daemon {
     /// offer/tick schedule — safe to include in the deterministic
     /// snapshot.
     events: EventRing,
+}
+
+/// A base this process wrote and the deltas it has written onto it.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// Sequence number of the base.
+    base_seq: u64,
+    /// Byte length of the base image.
+    base_len: usize,
+    /// Sequence number of the newest link (the base or its last delta).
+    head_seq: u64,
+    /// Delta bytes written onto the base so far.
+    delta_bytes: usize,
 }
 
 /// Shards `0..canary` form the canary cohort: a pure function of the
@@ -413,9 +441,14 @@ impl Daemon {
         validate(&cfg)?;
         std::fs::create_dir_all(dir)?;
 
-        let mut report = RecoveryReport::default();
-        let (snap, discarded) = snapshot::load_latest(dir)?;
-        report.snapshots_discarded = discarded;
+        let loaded = snapshot::load_latest(dir)?;
+        let mut report = RecoveryReport {
+            snapshot_seq: loaded.base_seq,
+            snapshots_discarded: loaded.snapshots_discarded,
+            deltas_applied: loaded.deltas_applied,
+            deltas_discarded: loaded.deltas_discarded,
+            ..RecoveryReport::default()
+        };
 
         let mut shards: Vec<Shard> = (0..cfg.n_shards)
             .map(|_| Shard {
@@ -426,17 +459,14 @@ impl Daemon {
             })
             .collect();
 
-        let mut next_snapshot_seq = 1;
         let mut epoch = EpochState::default();
         let mut drained: BTreeSet<u32> = BTreeSet::new();
-        if let Some(snap) = snap {
+        if let Some(snap) = loaded.snapshot {
             if snap.n_windows != cfg.n_windows {
                 return Err(DaemonError::Config(
                     "snapshot was written with a different n_windows",
                 ));
             }
-            report.snapshot_seq = Some(snap.seq);
-            next_snapshot_seq = snap.seq + 1;
             epoch = snap.epoch;
             drained = snap.drained.into_iter().collect();
             for (host, st) in snap.hosts {
@@ -513,6 +543,13 @@ impl Daemon {
                 &[("count", &report.snapshots_discarded.to_string())],
             );
         }
+        if report.deltas_discarded > 0 {
+            events.push(
+                "fleetd.snapshot",
+                "delta_discarded",
+                &[("count", &report.deltas_discarded.to_string())],
+            );
+        }
         if report.snapshot_seq.is_some() || report.wal_batches > 0 {
             events.push(
                 "fleetd.recovery",
@@ -536,12 +573,13 @@ impl Daemon {
             wal,
             shards,
             tick: 0,
-            next_snapshot_seq,
+            next_snapshot_seq: loaded.next_seq,
             // Count the replayed backlog toward the next snapshot so a
             // crash loop cannot grow the WAL without bound: recovery with
             // a long tail snapshots soon after restart.
             applied_since_snapshot: report.wal_replayed,
-            last_snapshot_len: 0,
+            chain: None,
+            delta_buf: Vec::new(),
             stats: DaemonStats::default(),
             completions: Vec::new(),
             epoch,
@@ -777,7 +815,7 @@ impl Daemon {
             self.decide_rollout(kill)?;
         }
         if need_snapshot {
-            self.write_snapshot()?;
+            self.write_checkpoint(false)?;
         }
         Ok(())
     }
@@ -1157,28 +1195,84 @@ impl Daemon {
         Ok(self.queued_total() == 0)
     }
 
-    /// Force a snapshot now (clean shutdown).
+    /// Write a full snapshot base now, whatever the chain (clean
+    /// shutdown, or the operator's pre-maintenance "make recovery cheap"
+    /// lever; drains make this useful — a drained fleet checkpoints
+    /// small).
     pub fn checkpoint(&mut self) -> Result<(), DaemonError> {
-        self.write_snapshot()
+        self.write_checkpoint(true)
     }
 
-    fn write_snapshot(&mut self) -> Result<(), DaemonError> {
+    /// Install the next checkpoint and reset the WAL. It is a delta onto
+    /// this process's chain unless `force_base` is set, there is no chain
+    /// yet, or the chain's deltas, this one included, would reach its
+    /// base's size: then it is a new base. That doubling rule keeps a
+    /// chain at most about twice its base and puts bases at about
+    /// checkpoints 1, 2, 4, 8, …, while the cost of a delta follows what
+    /// was applied since the last checkpoint, not the size of the state.
+    fn write_checkpoint(&mut self, force_base: bool) -> Result<(), DaemonError> {
         let seq = self.next_snapshot_seq;
         let drained: Vec<u32> = self.drained.iter().copied().collect();
-        // Encoded straight from the shard tables. Between checkpoints an
-        // image only grows by what was applied since, so the previous
-        // length plus an eighth usually holds it without a realloc.
-        let mut image = Vec::with_capacity(self.last_snapshot_len + self.last_snapshot_len / 8);
-        snapshot::encode_into(
-            &mut image,
-            seq,
-            self.cfg.n_windows,
-            self.hosts(),
-            &self.epoch,
-            &drained,
-        );
-        self.last_snapshot_len = image.len();
-        snapshot::write_snapshot(&self.dir, seq, &image)?;
+        let mut delta = std::mem::take(&mut self.delta_buf);
+        let extend = match self.chain {
+            Some(chain) if !force_base => {
+                for shard in &mut self.shards {
+                    shard.state.journal.seal();
+                }
+                let link = Link {
+                    seq,
+                    base_seq: chain.base_seq,
+                    prev_seq: chain.head_seq,
+                };
+                snapshot::encode_delta_into(
+                    &mut delta,
+                    link,
+                    self.cfg.n_windows,
+                    self.journaled_hosts(),
+                    &self.epoch,
+                    &drained,
+                );
+                (chain.delta_bytes + delta.len() < chain.base_len).then_some(chain)
+            }
+            _ => None,
+        };
+        let (kind, len) = if let Some(chain) = extend {
+            snapshot::write_delta(&self.dir, seq, &delta)?;
+            self.chain = Some(Chain {
+                head_seq: seq,
+                delta_bytes: chain.delta_bytes + delta.len(),
+                ..chain
+            });
+            self.stats.checkpoint_delta_bytes += delta.len() as u64;
+            ("delta", delta.len())
+        } else {
+            // Encoded straight from the shard tables. A new base holds
+            // the old one plus at most what its deltas added, so that
+            // sum usually holds it without a realloc.
+            let cap = self.chain.map_or(0, |c| c.base_len + c.delta_bytes);
+            let mut image = Vec::with_capacity(cap);
+            snapshot::encode_into(
+                &mut image,
+                seq,
+                self.cfg.n_windows,
+                self.hosts(),
+                &self.epoch,
+                &drained,
+            );
+            snapshot::write_snapshot(&self.dir, seq, &image)?;
+            self.chain = Some(Chain {
+                base_seq: seq,
+                base_len: image.len(),
+                head_seq: seq,
+                delta_bytes: 0,
+            });
+            self.stats.checkpoint_base_bytes += image.len() as u64;
+            ("base", image.len())
+        };
+        self.delta_buf = delta;
+        for shard in &mut self.shards {
+            shard.state.journal.clear();
+        }
         self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;
@@ -1186,9 +1280,25 @@ impl Daemon {
         self.events.push(
             "fleetd.snapshot",
             "written",
-            &[("seq", &seq.to_string()), ("wal_reset", "true")],
+            &[
+                ("seq", &seq.to_string()),
+                ("kind", kind),
+                ("bytes", &len.to_string()),
+                ("wal_reset", "true"),
+            ],
         );
         Ok(())
+    }
+
+    /// Every host with its shard's journal, ordered by host id.
+    fn journaled_hosts(&self) -> impl Iterator<Item = (u32, &HostState, &Journal)> {
+        let mut out = BTreeMap::new();
+        for shard in &self.shards {
+            for (&h, st) in &shard.state.hosts {
+                out.insert(h, (st, &shard.state.journal));
+            }
+        }
+        out.into_iter().map(|(h, (st, j))| (h, st, j))
     }
 
     /// Completions emitted since the last call (the at-least-once ack
@@ -1255,13 +1365,6 @@ impl Daemon {
         &self.events
     }
 
-    /// Checkpoint now, regardless of `snapshot_every` (the operator's
-    /// pre-maintenance "make recovery cheap" lever; drains make this
-    /// useful — a drained fleet checkpoints small).
-    pub fn force_snapshot(&mut self) -> Result<(), DaemonError> {
-        self.write_snapshot()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> u64 {
         self.tick
@@ -1308,12 +1411,26 @@ impl Daemon {
         reg.counter_add("fleetd_worker_restarts_total", &[], self.worker_restarts());
         reg.register_counter(
             "fleetd_snapshots_written_total",
-            "Snapshots installed (each also truncates the WAL)",
+            "Checkpoints installed, bases and deltas (each also truncates the WAL)",
         );
         reg.counter_add(
             "fleetd_snapshots_written_total",
             &[],
             self.stats.snapshots_written,
+        );
+        reg.register_counter(
+            "fleetd_checkpoint_bytes_total",
+            "Checkpoint bytes installed, by kind",
+        );
+        reg.counter_add(
+            "fleetd_checkpoint_bytes_total",
+            &[("kind", "base")],
+            self.stats.checkpoint_base_bytes,
+        );
+        reg.counter_add(
+            "fleetd_checkpoint_bytes_total",
+            &[("kind", "delta")],
+            self.stats.checkpoint_delta_bytes,
         );
 
         reg.register_gauge("fleetd_queue_depth", "Batches currently queued, fleet-wide");
@@ -1434,6 +1551,20 @@ impl RecoveryReport {
             "fleetd_recovery_snapshots_discarded_total",
             &[],
             u64::from(self.snapshots_discarded),
+        );
+        reg.register_counter(
+            "fleetd_recovery_deltas_total",
+            "Deltas of the loaded snapshot's chain at recovery, by disposition",
+        );
+        reg.counter_add(
+            "fleetd_recovery_deltas_total",
+            &[("disposition", "applied")],
+            u64::from(self.deltas_applied),
+        );
+        reg.counter_add(
+            "fleetd_recovery_deltas_total",
+            &[("disposition", "discarded")],
+            u64::from(self.deltas_discarded),
         );
         reg.register_counter(
             "fleetd_recovery_rollout_events_total",
@@ -2078,7 +2209,7 @@ mod tests {
                 Err(DaemonError::Config("shard id out of range"))
             ));
             // Snapshot while drained: the drain must persist through it.
-            d.force_snapshot().unwrap();
+            d.checkpoint().unwrap();
         }
         let (mut d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
         assert!(rec.snapshot_seq.is_some());
@@ -2158,6 +2289,245 @@ mod tests {
             vec![1],
             "journaled command survives the crash"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One step of the chain differential stream.
+    enum Step {
+        Batch(WindowBatch),
+        Begin,
+        Command(ControlCommand),
+    }
+
+    /// Hosts 0..6 on two shards send their training week, then their test
+    /// week, two windows at a time. Between the test batches: a pin on
+    /// host 1, a rollout that soaks windows 4..6 on the canary shard and
+    /// promotes, and shard 1 drained across the soak.
+    fn chain_script() -> Vec<Step> {
+        let hosts = 0..6u32;
+        let mut seq = [0u64; 6];
+        let mut batch = |host: u32, week: Week, start: u32, counts: [u64; 2]| {
+            seq[host as usize] += 1;
+            Step::Batch(b(host, seq[host as usize], week, start, &counts))
+        };
+        let mut steps = Vec::new();
+        for w in (0..8u32).step_by(2) {
+            for h in hosts.clone() {
+                let c = u64::from(h + w);
+                steps.push(batch(h, Week::Train, w, [c + 1, c + 2]));
+            }
+        }
+        for w in [0u32, 2] {
+            for h in hosts.clone() {
+                steps.push(batch(h, Week::Test, w, [1, 2]));
+            }
+        }
+        steps.push(Step::Command(ControlCommand::PinThreshold { host: 1, t: 1000.0 }));
+        steps.push(Step::Begin);
+        steps.push(Step::Command(ControlCommand::DrainShard { shard: 1 }));
+        for h in [0, 2, 4] {
+            steps.push(batch(h, Week::Test, 4, [5, 5]));
+        }
+        steps.push(Step::Command(ControlCommand::UndrainShard { shard: 1 }));
+        for h in [1, 3, 5] {
+            steps.push(batch(h, Week::Test, 4, [5, 5]));
+        }
+        for h in hosts {
+            steps.push(batch(h, Week::Test, 6, [7, 7]));
+        }
+        steps
+    }
+
+    fn run_step(d: &mut Daemon, kill: &mut KillSwitch, step: &Step) -> Result<(), DaemonError> {
+        match step {
+            Step::Batch(batch) => {
+                assert_ne!(d.offer(batch.clone()), Admit::Overflow);
+                d.drain(kill, 100).map(|_| ())
+            }
+            Step::Begin => {
+                let thresholds = (0..6u32).map(|h| (h, 6.0)).collect();
+                d.begin_rollout(4, 6, thresholds, kill).map(|_| ())
+            }
+            Step::Command(cmd) => d.command(*cmd, kill),
+        }
+    }
+
+    fn table(d: &Daemon) -> Vec<(u32, HostState)> {
+        d.hosts().into_iter().map(|(h, s)| (h, s.clone())).collect()
+    }
+
+    /// After every checkpoint, the base and chain on disk must fold to
+    /// exactly the live host table, epoch state and drained set.
+    fn chain_equals_live(tag: &str, cfg: DaemonConfig) {
+        let dir = tmpdir(tag);
+        let (mut d, _) = Daemon::open(&dir, cfg).unwrap();
+        let mut kill = KillSwitch::none();
+        let mut checked = 0;
+        for step in chain_script() {
+            let before = d.stats().snapshots_written;
+            run_step(&mut d, &mut kill, &step).unwrap();
+            if d.stats().snapshots_written == before {
+                continue;
+            }
+            let loaded = snapshot::load_latest(&dir).unwrap();
+            assert_eq!(loaded.deltas_discarded, 0);
+            let snap = loaded.snapshot.unwrap();
+            let folded: Vec<(u32, HostState)> = snap.hosts.into_iter().collect();
+            assert_eq!(folded, table(&d), "{tag}: checkpoint {}", snap.seq);
+            assert_eq!(&snap.epoch, d.epoch_state(), "{tag}: checkpoint {}", snap.seq);
+            assert_eq!(snap.drained, d.drained_shards(), "{tag}: checkpoint {}", snap.seq);
+            checked += 1;
+        }
+        // The script did what it says, and both kinds of file were made.
+        let hist = &d.epoch_state().history;
+        assert_eq!(hist.len(), 1);
+        assert_eq!(hist[0].outcome, EpochOutcome::Promoted);
+        assert_eq!(d.hosts()[&1].pinned, Some(1000.0));
+        assert!(d.events().contains("fleetd.control", "command_applied"));
+        let stats = d.stats();
+        assert_eq!(checked, stats.snapshots_written);
+        assert!(stats.checkpoint_base_bytes > 0 && stats.checkpoint_delta_bytes > 0);
+        assert!(snapshot::list_snapshots(&dir).unwrap().len() == 2);
+        assert!(!snapshot::list_deltas(&dir).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn chain_cfg() -> DaemonConfig {
+        DaemonConfig {
+            snapshot_every: 2,
+            ..small_cfg()
+        }
+    }
+
+    #[test]
+    fn exact_chain_equals_live_state_after_every_checkpoint() {
+        chain_equals_live("chain-exact", chain_cfg());
+    }
+
+    #[test]
+    fn sketch_chain_equals_live_state_after_every_checkpoint() {
+        let cfg = DaemonConfig {
+            sketch_eps: Some(0.001),
+            ..chain_cfg()
+        };
+        chain_equals_live("chain-sketch", cfg);
+    }
+
+    #[test]
+    fn replayed_wal_reaches_the_next_chain() {
+        // Reference: the whole script in one lifetime, with the table
+        // after every step.
+        let ref_dir = tmpdir("trap-ref");
+        let (mut d, _) = Daemon::open(&ref_dir, chain_cfg()).unwrap();
+        let mut kill = KillSwitch::none();
+        let mut reference = Vec::new();
+        for step in chain_script() {
+            run_step(&mut d, &mut kill, &step).unwrap();
+            reference.push(table(&d));
+        }
+        drop(d);
+
+        // Die mid-stream with a WAL tail, reopen (the tail is replayed),
+        // run past two more checkpoints, die again and reopen.
+        let dir = tmpdir("trap");
+        let script = chain_script();
+        let (mut d, _) = Daemon::open(&dir, chain_cfg()).unwrap();
+        let mut i = 0;
+        while i < 15 {
+            run_step(&mut d, &mut kill, &script[i]).unwrap();
+            i += 1;
+        }
+        assert!(d.wal_len() > 0, "the first death must leave a WAL tail");
+        drop(d);
+        let (mut d, rec) = Daemon::open(&dir, chain_cfg()).unwrap();
+        assert!(rec.wal_replayed > 0);
+        assert_eq!(table(&d), reference[i - 1]);
+        let written = d.stats().snapshots_written;
+        while d.stats().snapshots_written < written + 2 {
+            run_step(&mut d, &mut kill, &script[i]).unwrap();
+            i += 1;
+        }
+        drop(d);
+        let (mut d, rec) = Daemon::open(&dir, chain_cfg()).unwrap();
+        assert!(rec.deltas_applied > 0, "the second reopen must read a chain");
+        assert_eq!(table(&d), reference[i - 1], "recovered after step {i}");
+        for step in &script[i..] {
+            run_step(&mut d, &mut kill, step).unwrap();
+        }
+        assert_eq!(table(&d), reference[script.len() - 1]);
+        std::fs::remove_dir_all(&ref_dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_and_recovery_metrics_count_bases_and_deltas() {
+        // Stop right after the first delta, so the newest chain holds one.
+        let dir = tmpdir("ckpt-metrics");
+        let (mut d, _) = Daemon::open(&dir, chain_cfg()).unwrap();
+        let mut kill = KillSwitch::none();
+        for step in chain_script() {
+            run_step(&mut d, &mut kill, &step).unwrap();
+            if d.stats().checkpoint_delta_bytes > 0 {
+                break;
+            }
+        }
+        let stats = *d.stats();
+        let mut reg = hids_metrics::Registry::default();
+        d.export_metrics(&mut reg);
+        let text = reg.render(hids_metrics::RenderOptions::deterministic());
+        for (kind, bytes) in [
+            ("base", stats.checkpoint_base_bytes),
+            ("delta", stats.checkpoint_delta_bytes),
+        ] {
+            assert!(bytes > 0);
+            let line = format!("fleetd_checkpoint_bytes_total{{kind=\"{kind}\"}} {bytes}");
+            assert!(text.contains(&line), "missing {line}");
+        }
+        drop(d);
+        let (_, rec) = Daemon::open(&dir, chain_cfg()).unwrap();
+        let base = stats.snapshots_written - 1;
+        assert_eq!((rec.snapshot_seq, rec.deltas_applied), (Some(base), 1));
+        let mut reg = hids_metrics::Registry::default();
+        rec.export_metrics(&mut reg);
+        let text = reg.render(hids_metrics::RenderOptions::deterministic());
+        let applied = format!(
+            "fleetd_recovery_deltas_total{{disposition=\"applied\"}} {}",
+            rec.deltas_applied
+        );
+        assert!(text.contains(&applied), "missing {applied}");
+        assert!(text.contains("fleetd_recovery_deltas_total{disposition=\"discarded\"} 0"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_after_discarding_damaged_snapshots_is_kept() {
+        // With every retained base damaged, recovery starts cold. The
+        // next checkpoint must take a name past the damaged files, or
+        // pruning by sequence number would delete it as the oldest.
+        let dir = tmpdir("reuse");
+        let batches: Vec<_> = (0..2).flat_map(week_batches).collect();
+        {
+            let (mut d, mut kill) = (Daemon::open(&dir, small_cfg()).unwrap().0, KillSwitch::none());
+            for part in batches.chunks(3) {
+                feed(&mut d, &mut kill, part);
+                d.checkpoint().unwrap();
+            }
+        }
+        for (_, path) in snapshot::list_snapshots(&dir).unwrap() {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[20] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let reference = {
+            let (mut d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
+            assert_eq!((rec.snapshot_seq, rec.snapshots_discarded), (None, 2));
+            feed(&mut d, &mut KillSwitch::none(), &batches);
+            d.checkpoint().unwrap();
+            table(&d)
+        };
+        let (d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
+        assert_eq!(rec.snapshot_seq, Some(4));
+        assert_eq!(table(&d), reference);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,8 +15,9 @@
 //! * [`wal`] — CRC-framed append-only log with torn-tail recovery and the
 //!   cooperative [`KillSwitch`](wal::KillSwitch) used by crash-injection
 //!   harnesses;
-//! * [`snapshot`] — atomic (tmp+rename) full-state checkpoints, newest
-//!   valid image wins, keep-two retention;
+//! * [`snapshot`] — atomic (tmp+rename) checkpoints: full-state bases
+//!   and deltas chained onto them; the newest valid base and its chain
+//!   win, keep-two-chains retention;
 //! * [`state`] — per-host accumulators with seq-deduped idempotent apply;
 //! * [`epoch`] — versioned threshold epochs: WAL-journaled canary
 //!   rollouts with shadow evaluation, health gates, and O(1) bitwise
@@ -90,7 +91,7 @@ pub use ingest::{
     IngestConfig, IngestOutcome, IngestStats, Ingestor, Lane, LaneStats, SyslogMsg,
 };
 pub use queue::{Admit, QueueConfig};
-pub use snapshot::Snapshot;
+pub use snapshot::{Delta, Snapshot};
 pub use state::{ApplyConfig, ApplyError, ApplyOutcome, HostState};
 pub use supervisor::{SupervisorConfig, WorkerStatus};
 pub use wal::{KillSwitch, WalRecord, WalWriter};

@@ -173,16 +173,50 @@ impl HostState {
         batch: &WindowBatch,
         cfg: &ApplyConfig,
     ) -> Result<ApplyOutcome, ApplyError> {
-        self.apply_shadowed(batch, cfg, None)
+        self.apply_shadowed(batch, cfg, None, None)
+    }
+
+    /// Record window `w` of `batch` with count `c` — the one place a
+    /// window enters host state — and journal it when it is new. Returns
+    /// whether it was new: first write wins, and the sketch accumulator's
+    /// window bitmap gives the same guarantee in sketch mode.
+    fn insert_window(
+        &mut self,
+        batch: &WindowBatch,
+        w: u32,
+        c: u64,
+        sketch_eps: Option<f64>,
+        journal: Option<&mut Journal>,
+    ) -> bool {
+        let Some(eps) = sketch_eps else {
+            let acc = match batch.week {
+                Week::Train => &mut self.train,
+                Week::Test => &mut self.test,
+            };
+            let fresh = acc.insert(w, c);
+            if let (true, Some(j)) = (fresh, journal) {
+                j.pairs.push((batch.host, batch.week, w, c));
+            }
+            return fresh;
+        };
+        let sketch = match batch.week {
+            Week::Train => &mut self.train_sketch,
+            Week::Test => &mut self.test_sketch,
+        };
+        sketch
+            .get_or_insert_with(|| SketchAccumulator::new(eps))
+            .insert(w, c)
     }
 
     /// [`HostState::apply`], additionally shadow-evaluating a candidate
-    /// threshold over fresh soak-span test windows when `shadow` is set.
-    pub fn apply_shadowed(
+    /// threshold over fresh soak-span test windows when `shadow` is set,
+    /// and noting what changed in `journal` when one is given.
+    pub(crate) fn apply_shadowed(
         &mut self,
         batch: &WindowBatch,
         cfg: &ApplyConfig,
         mut shadow: Option<&mut ShadowCtx<'_>>,
+        mut journal: Option<&mut Journal>,
     ) -> Result<ApplyOutcome, ApplyError> {
         if batch.seq <= self.last_seq {
             return Ok(ApplyOutcome::Duplicate);
@@ -213,53 +247,40 @@ impl HostState {
             };
         }
 
-        match batch.week {
-            Week::Train => {
-                if let Some(eps) = cfg.sketch_eps {
-                    let acc = self
-                        .train_sketch
-                        .get_or_insert_with(|| SketchAccumulator::new(eps));
-                    for (i, &c) in batch.counts.iter().enumerate() {
-                        acc.insert(batch.start + i as u32, c);
-                    }
-                } else {
-                    for (i, &c) in batch.counts.iter().enumerate() {
-                        self.train.insert(batch.start + i as u32, c);
-                    }
-                }
+        if let Some(eps) = cfg.sketch_eps {
+            // A training sketch exists from a host's first training batch
+            // on, even an empty one.
+            if batch.week == Week::Train {
+                self.train_sketch
+                    .get_or_insert_with(|| SketchAccumulator::new(eps));
             }
-            Week::Test => {
-                for (i, &c) in batch.counts.iter().enumerate() {
-                    let w = batch.start + i as u32;
-                    // Count an alarm only when the window is genuinely
-                    // new: re-applied overlaps must not double-alarm.
-                    // The sketch accumulator's window bitmap provides the
-                    // same first-write-wins guarantee in sketch mode.
-                    let fresh = match cfg.sketch_eps {
-                        None => self.test.insert(w, c),
-                        Some(eps) => self
-                            .test_sketch
-                            .get_or_insert_with(|| SketchAccumulator::new(eps))
-                            .insert(w, c),
-                    };
-                    if fresh {
-                        let incumbent_alarm = self
-                            .effective_threshold(w)
-                            .is_some_and(|t| c as f64 > t);
-                        if incumbent_alarm {
-                            self.live_alarms += 1;
-                        }
-                        if let Some(ctx) = shadow.as_deref_mut() {
-                            if w >= ctx.soak_start && w < ctx.soak_end {
-                                ctx.stats.windows += 1;
-                                if incumbent_alarm {
-                                    ctx.stats.incumbent_alarms += 1;
-                                }
-                                if c as f64 > ctx.candidate {
-                                    ctx.stats.candidate_alarms += 1;
-                                }
-                            }
-                        }
+            // A sketch changes as a whole, so the next delta checkpoint
+            // re-images it instead of journaling its windows.
+            if let Some(j) = journal.as_deref_mut() {
+                j.sketches.push((batch.host, batch.week));
+            }
+        }
+        for (i, &c) in batch.counts.iter().enumerate() {
+            let w = batch.start + i as u32;
+            // Only a genuinely new window counts: a re-applied overlap
+            // must neither double-alarm nor reach the journal twice.
+            if !self.insert_window(batch, w, c, cfg.sketch_eps, journal.as_deref_mut())
+                || batch.week == Week::Train
+            {
+                continue;
+            }
+            let incumbent_alarm = self.effective_threshold(w).is_some_and(|t| c as f64 > t);
+            if incumbent_alarm {
+                self.live_alarms += 1;
+            }
+            if let Some(ctx) = shadow.as_deref_mut() {
+                if w >= ctx.soak_start && w < ctx.soak_end {
+                    ctx.stats.windows += 1;
+                    if incumbent_alarm {
+                        ctx.stats.incumbent_alarms += 1;
+                    }
+                    if c as f64 > ctx.candidate {
+                        ctx.stats.candidate_alarms += 1;
                     }
                 }
             }
@@ -269,12 +290,59 @@ impl HostState {
     }
 }
 
+/// What a shard applied since the daemon's last checkpoint: what a delta
+/// checkpoint writes besides every host's scalar fields. One flat buffer
+/// per shard, appended in apply order and kept across checkpoints, so
+/// journaling allocates nothing once it has grown; [`Journal::seal`]
+/// sorts it for lookups by host.
+#[derive(Debug, Default)]
+pub(crate) struct Journal {
+    /// `(host, week, window, count)` of every window first inserted into
+    /// an exact accumulator.
+    pub(crate) pairs: Vec<(u32, Week, u32, u64)>,
+    /// `(host, week)` of every sketch an applied batch touched; repeats
+    /// are removed by [`Journal::seal`].
+    pub(crate) sketches: Vec<(u32, Week)>,
+}
+
+impl Journal {
+    /// Sort by host, week and window, so the lookups below can bisect.
+    pub(crate) fn seal(&mut self) {
+        self.pairs.sort_unstable_by_key(|&(h, wk, w, _)| (h, wk, w));
+        self.sketches.sort_unstable();
+        self.sketches.dedup();
+    }
+
+    /// `(window, count)` pairs journaled for `host` in `week`, ascending
+    /// by window. The journal must be sealed.
+    pub(crate) fn pairs(&self, host: u32, week: Week) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let lo = self.pairs.partition_point(|&(h, wk, ..)| (h, wk) < (host, week));
+        let hi = self.pairs.partition_point(|&(h, wk, ..)| (h, wk) <= (host, week));
+        self.pairs[lo..hi].iter().map(|&(.., w, c)| (w, c))
+    }
+
+    /// Whether an applied batch touched `host`'s sketch for `week`. The
+    /// journal must be sealed.
+    pub(crate) fn touched(&self, host: u32, week: Week) -> bool {
+        self.sketches.binary_search(&(host, week)).is_ok()
+    }
+
+    /// Forget everything (a checkpoint made it durable), keeping the
+    /// buffers.
+    pub(crate) fn clear(&mut self) {
+        self.pairs.clear();
+        self.sketches.clear();
+    }
+}
+
 /// One shard's slice of the host table.
 #[derive(Debug, Default)]
 pub struct ShardState {
     /// Hosts owned by this shard, keyed by host id (ordered for
     /// deterministic iteration).
     pub hosts: BTreeMap<u32, HostState>,
+    /// Changes since the last checkpoint, filled by every apply.
+    pub(crate) journal: Journal,
 }
 
 impl ShardState {
@@ -284,21 +352,24 @@ impl ShardState {
         batch: &WindowBatch,
         cfg: &ApplyConfig,
     ) -> Result<ApplyOutcome, ApplyError> {
-        self.hosts.entry(batch.host).or_default().apply(batch, cfg)
+        self.apply_shadowed(batch, cfg, None)
     }
 
     /// [`ShardState::apply`] with shadow evaluation of a candidate
-    /// threshold (see [`HostState::apply_shadowed`]).
+    /// threshold (see [`HostState::apply`]). Either way the host's
+    /// journal records what changed.
     pub fn apply_shadowed(
         &mut self,
         batch: &WindowBatch,
         cfg: &ApplyConfig,
         shadow: Option<&mut ShadowCtx<'_>>,
     ) -> Result<ApplyOutcome, ApplyError> {
-        self.hosts
-            .entry(batch.host)
-            .or_default()
-            .apply_shadowed(batch, cfg, shadow)
+        self.hosts.entry(batch.host).or_default().apply_shadowed(
+            batch,
+            cfg,
+            shadow,
+            Some(&mut self.journal),
+        )
     }
 }
 
@@ -439,7 +510,7 @@ mod tests {
             candidate: 1000.0,
             stats: &mut stats,
         };
-        h.apply_shadowed(&b(2, Week::Test, 0, &[100; 6]), &cfg(), Some(&mut ctx))
+        h.apply_shadowed(&b(2, Week::Test, 0, &[100; 6]), &cfg(), Some(&mut ctx), None)
             .unwrap();
         // Windows 0..6 applied; soak spans 2..6 → 4 shadow windows, all
         // incumbent alarms, none under the high candidate.
@@ -460,7 +531,7 @@ mod tests {
             candidate: 1000.0,
             stats: &mut stats,
         };
-        h.apply_shadowed(&b(3, Week::Test, 0, &[100; 6]), &cfg(), Some(&mut ctx))
+        h.apply_shadowed(&b(3, Week::Test, 0, &[100; 6]), &cfg(), Some(&mut ctx), None)
             .unwrap();
         assert_eq!(stats.windows, 4);
     }

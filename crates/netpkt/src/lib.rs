@@ -56,7 +56,7 @@ pub use pcap::{
     LinkType, LossStats, LossyPcapReader, PcapError, PcapPacket, PcapReader, PcapWriter,
 };
 pub use tcp::{TcpFlags, TcpSegment, TCP_MIN_HEADER_LEN};
-pub use tcpopt::{find_mss, TcpOption, TcpOptionIter};
+pub use tcpopt::{TcpOption, TcpOptionIter};
 pub use udp::{UdpDatagram, UDP_HEADER_LEN};
 
 /// Errors produced when parsing or emitting wire formats.

@@ -94,14 +94,6 @@ impl<'a> Iterator for TcpOptionIter<'a> {
     }
 }
 
-/// Extract the MSS from an options region, if present.
-pub fn find_mss(options: &[u8]) -> Option<u16> {
-    TcpOptionIter::new(options).find_map(|o| match o {
-        TcpOption::Mss(v) => Some(v),
-        _ => None,
-    })
-}
-
 /// Serialise a SYN's classic option set (MSS, SACK-permitted, window
 /// scale, padded with NOPs to a 4-byte boundary). Returns bytes written.
 pub fn emit_syn_options(buf: &mut [u8], mss: u16, wscale: u8) -> usize {
@@ -145,7 +137,6 @@ mod tests {
                 TcpOption::EndOfList,
             ]
         );
-        assert_eq!(find_mss(&buf), Some(1460));
     }
 
     #[test]
@@ -197,12 +188,10 @@ mod tests {
                 data_len: 3
             }]
         );
-        assert_eq!(find_mss(&buf), None);
     }
 
     #[test]
     fn empty_region() {
         assert!(TcpOptionIter::new(&[]).next().is_none());
-        assert_eq!(find_mss(&[]), None);
     }
 }

@@ -72,7 +72,10 @@
 # The perfbench stage runs the benchmark package's self-tests: each
 # workload is checked against the repository's own experiment harnesses,
 # so a change that alters what a workload computes fails here. The
-# package is its own Cargo workspace, hence the manifest path.
+# package is its own Cargo workspace, hence the manifest path. Then the
+# two daemon workloads run for two seconds each through the same command
+# BENCHMARK.json declares; each must report `"correct": true` (every
+# reopen recovered the streamed host table) and no failed operation.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -102,7 +105,7 @@ cargo run -q --release -p experiments --bin repro -- \
     --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 \
     --metrics-out "$metrics_out" daemon
 for family in fleetd_batches_total fleetd_snapshots_written_total \
-    itc_delivery_batches_total hids_degraded_hosts hids_sweep_tables_total \
+    fleetd_checkpoint_bytes_total itc_delivery_batches_total hids_degraded_hosts hids_sweep_tables_total \
     fleetd_harness_lifetimes_total; do
     grep -q "^# TYPE $family " "$metrics_out" || {
         echo "ci.sh: metrics smoke missing family: $family" >&2
@@ -275,5 +278,18 @@ grep -q "sketchablate self-check: worst rank deviation" "$ablate_log" || {
 }
 cargo bench -p bench -- --test
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in daemon-stream daemon-recover; do
+    bench_json=$(cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 2 | grep '^{')
+    case "$bench_json" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "ci.sh: $workload benchmark run failed its checks" >&2
+        echo "$bench_json" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "ci.sh: all gates passed"

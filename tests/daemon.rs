@@ -22,8 +22,8 @@ use experiments::{Corpus, CorpusConfig};
 use faultsim::{ByteFaults, KillPoint};
 use fleetd::wal::{frame_batch, frame_command, frame_rollout, scan_frames, WAL_HEADER_LEN, WAL_MAGIC};
 use fleetd::{
-    Admit, Daemon, DaemonConfig, DaemonError, EpochState, HostState, KillSwitch, QueueConfig,
-    Snapshot, SupervisorConfig, WalRecord, Week, WindowBatch,
+    Admit, ApplyConfig, Daemon, DaemonConfig, DaemonError, Delta, EpochState, HostState,
+    KillSwitch, QueueConfig, Snapshot, SupervisorConfig, WalRecord, Week, WindowBatch,
 };
 use hids_core::degraded::HostStatus;
 use hids_core::WindowAccumulator;
@@ -418,6 +418,69 @@ fn corrupt_snapshots_are_discarded_and_redelivery_rebuilds() {
 }
 
 #[test]
+fn damaged_newest_delta_recovers_base_earlier_deltas_and_wal() {
+    // Checkpoint often, so the chain has deltas, and stop where the
+    // newest checkpoint is a delta with a WAL tail after it. Damaging
+    // that delta must leave exactly the previous checkpoint's table plus
+    // the WAL tail, computed here without the daemon's recovery code.
+    let corpus = small_corpus();
+    let mut scenario = base_scenario();
+    scenario.daemon.snapshot_every = 4;
+    let batches = build_batches(&corpus, &scenario);
+    let dir = unique_run_dir("deltaflip");
+    let newest_is_delta = |dir: &std::path::Path| {
+        let base = fleetd::snapshot::list_snapshots(dir).unwrap()[0].0;
+        let deltas = fleetd::snapshot::list_deltas(dir).unwrap();
+        deltas.iter().filter(|(s, _)| *s > base).count() >= 2
+            && deltas.last().is_some_and(|(s, _)| *s > base)
+    };
+    let mut tables = Vec::new();
+    {
+        let (mut d, _) = Daemon::open(&dir, scenario.daemon).unwrap();
+        let mut kill = KillSwitch::none();
+        for b in &batches {
+            let before = d.stats().snapshots_written;
+            offer_all_and_drain(&mut d, &mut kill, std::slice::from_ref(b));
+            if d.stats().snapshots_written > before {
+                tables.push(final_hosts(&d));
+            } else if tables.len() >= 3 && d.wal_len() > 0 && newest_is_delta(&dir) {
+                break;
+            }
+        }
+        assert!(d.wal_len() > 0, "the stream must stop with a WAL tail");
+    }
+    let newest = fleetd::snapshot::list_deltas(&dir).unwrap().pop().unwrap().1;
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&newest, &bytes).unwrap();
+
+    let mut expect: BTreeMap<u32, HostState> =
+        tables[tables.len() - 2].iter().cloned().collect();
+    let cfg = ApplyConfig {
+        n_windows: scenario.daemon.n_windows,
+        threshold_q: scenario.daemon.threshold_q,
+        sketch_eps: None,
+    };
+    let (tail, _, defect) = scan_frames(&std::fs::read(dir.join("wal.bin")).unwrap());
+    assert!(defect.is_none() && !tail.is_empty());
+    for record in &tail {
+        let WalRecord::Batch(b) = record else {
+            panic!("only batches in this stream, got {record:?}");
+        };
+        expect.entry(b.host).or_default().apply(b, &cfg).unwrap();
+    }
+
+    let (d, rec) = Daemon::open(&dir, scenario.daemon).unwrap();
+    assert_eq!(rec.deltas_discarded, 1);
+    assert_eq!(rec.snapshots_discarded, 0);
+    assert!(rec.deltas_applied >= 1, "the earlier deltas are applied");
+    assert_eq!(rec.wal_replayed, tail.len() as u64);
+    assert_eq!(final_hosts(&d), expect.into_iter().collect::<Vec<_>>());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn both_snapshots_corrupt_with_surviving_wal_recovers_from_wal_alone() {
     // Snapshot-retention worst case: every retained checkpoint is damaged
     // but the WAL survived. Recovery must discard both images with a
@@ -634,6 +697,40 @@ proptest! {
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] ^= flip;
         prop_assert!(Snapshot::decode(&bytes).is_err());
+    }
+
+    /// `FSD1` decode is total: a correctly framed payload of arbitrary
+    /// bytes after a plausible header never panics, a real delta
+    /// roundtrips, and any single flipped byte of it is detected.
+    #[test]
+    fn delta_decode_is_total_and_flips_are_detected(
+        n_hosts in 0u32..4,
+        tail in proptest::collection::vec(any::<u8>(), 0..512),
+        hosts in proptest::collection::vec((0u32..64, arb_host_state()), 1..6),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let mut payload = Vec::new();
+        for v in [9u64, 7, 8] {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload.extend_from_slice(&WINDOWS_PER_WEEK.to_le_bytes());
+        payload.extend_from_slice(&n_hosts.to_le_bytes());
+        payload.extend_from_slice(&tail);
+        let mut framed = b"FSD1".to_vec();
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&fleetd::codec::crc32(&payload).to_le_bytes());
+        framed.extend_from_slice(&payload);
+        let _ = Delta::decode(&framed);
+        let _ = Delta::decode(&tail);
+
+        let hosts: BTreeMap<u32, HostState> = hosts.into_iter().collect();
+        let delta = Delta { seq: 8, base_seq: 7, prev_seq: 7, n_windows: WINDOWS_PER_WEEK, hosts, epoch: EpochState::default(), drained: vec![1] };
+        let mut bytes = delta.encode();
+        prop_assert_eq!(Delta::decode(&bytes).unwrap(), delta);
+        let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
+        bytes[pos] ^= flip;
+        prop_assert!(Delta::decode(&bytes).is_err());
     }
 }
 
