@@ -1236,6 +1236,9 @@ impl Daemon {
             }
             _ => None,
         };
+        // Once its file is installed the checkpoint is part of the chain,
+        // whatever fails after: the daemon's chain and sequence number
+        // move on before pruning or the WAL reset can return an error.
         let (kind, len) = if let Some(chain) = extend {
             snapshot::write_delta(&self.dir, seq, &delta)?;
             self.chain = Some(Chain {
@@ -1273,10 +1276,13 @@ impl Daemon {
         for shard in &mut self.shards {
             shard.state.journal.clear();
         }
-        self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;
         self.stats.snapshots_written += 1;
+        if kind == "base" {
+            snapshot::prune(&self.dir)?;
+        }
+        self.wal.reset()?;
         self.events.push(
             "fleetd.snapshot",
             "written",
@@ -2528,6 +2534,43 @@ mod tests {
         let (d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
         assert_eq!(rec.snapshot_seq, Some(4));
         assert_eq!(table(&d), reference);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_base_whose_pruning_fails_still_heads_the_chain() {
+        // Pruning runs after a new base is installed. If it fails, that
+        // base is what recovery loads, so the next checkpoint must be a
+        // delta onto it under a new sequence number.
+        let dir = tmpdir("prune-fails");
+        let (mut d, _) = Daemon::open(&dir, chain_cfg()).unwrap();
+        let mut kill = KillSwitch::none();
+        let both = |seq, week, start, counts: &[u64]| {
+            [
+                b(0, seq, week, start, counts),
+                b(1, seq, week, start, counts),
+            ]
+        };
+        feed(&mut d, &mut kill, &both(1, Week::Train, 0, &[1; 8]));
+        feed(&mut d, &mut kill, &both(2, Week::Test, 0, &[2]));
+        d.checkpoint().unwrap();
+        // Base 1, delta 2, base 3. Installing base 4 prunes delta 2, which
+        // cannot be removed as a file while a directory holds its name.
+        let blocked = dir.join(snapshot::delta_filename(2));
+        std::fs::remove_file(&blocked).unwrap();
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(d.checkpoint().is_err());
+        assert!(dir.join(snapshot::snapshot_filename(4)).exists());
+        feed(&mut d, &mut kill, &both(3, Week::Test, 1, &[3]));
+        assert!(dir.join(snapshot::delta_filename(5)).exists());
+        let loaded = snapshot::load_latest(&dir).unwrap();
+        assert_eq!(loaded.base_seq, Some(4));
+        assert_eq!((loaded.deltas_applied, loaded.deltas_discarded), (1, 0));
+        let live = table(&d);
+        drop(d);
+        let (d, rec) = Daemon::open(&dir, chain_cfg()).unwrap();
+        assert_eq!(rec.wal_batches, 0);
+        assert_eq!(table(&d), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

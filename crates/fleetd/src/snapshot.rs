@@ -659,11 +659,15 @@ fn install(dir: &Path, tmp: &str, name: String, image: &[u8]) -> std::io::Result
 }
 
 /// Atomically install the encoded image of snapshot `seq` in `dir`
-/// (tmp + rename), then prune every snapshot and delta older than the
-/// second-newest snapshot, so two chains remain. Returns the installed
-/// path.
+/// (tmp + rename). Returns the installed path; `prune` then drops what
+/// the new base made redundant.
 pub fn write_snapshot(dir: &Path, seq: u64, image: &[u8]) -> std::io::Result<PathBuf> {
-    let path = install(dir, "snap.tmp", snapshot_filename(seq), image)?;
+    install(dir, "snap.tmp", snapshot_filename(seq), image)
+}
+
+/// Delete every snapshot and delta older than the second-newest snapshot
+/// in `dir`, so two chains remain.
+pub(crate) fn prune(dir: &Path) -> std::io::Result<()> {
     let snaps = list_snapshots(dir)?;
     if let Some(&(keep_from, _)) = snaps.get(1) {
         for (_, old) in snaps.iter().skip(2) {
@@ -675,7 +679,7 @@ pub fn write_snapshot(dir: &Path, seq: u64, image: &[u8]) -> std::io::Result<Pat
             }
         }
     }
-    Ok(path)
+    Ok(())
 }
 
 /// Atomically install the encoded image of delta `seq` in `dir`.
@@ -1093,10 +1097,12 @@ mod tests {
         write_delta(&dir, 2, &delta_image(2, 1, 1)).unwrap();
         write_delta(&dir, 3, &delta_image(3, 1, 2)).unwrap();
         write_snapshot(&dir, 4, &Snapshot { seq: 4, ..sample() }.encode()).unwrap();
+        prune(&dir).unwrap();
         write_delta(&dir, 5, &delta_image(5, 4, 4)).unwrap();
         assert_eq!(seqs(list_snapshots(&dir).unwrap()), vec![4, 1]);
         assert_eq!(seqs(list_deltas(&dir).unwrap()), vec![2, 3, 5]);
         write_snapshot(&dir, 6, &Snapshot { seq: 6, ..sample() }.encode()).unwrap();
+        prune(&dir).unwrap();
         write_delta(&dir, 7, &delta_image(7, 6, 6)).unwrap();
         assert_eq!(seqs(list_snapshots(&dir).unwrap()), vec![6, 4]);
         assert_eq!(seqs(list_deltas(&dir).unwrap()), vec![5, 7]);
@@ -1191,6 +1197,7 @@ mod tests {
         for seq in 1..=4 {
             let snap = Snapshot { seq, ..sample() };
             write_snapshot(&dir, seq, &snap.encode()).unwrap();
+            prune(&dir).unwrap();
         }
         let listed = list_snapshots(&dir).unwrap();
         assert_eq!(

@@ -116,12 +116,8 @@ impl WindowAccumulator {
     /// duplicates in input order and `dedup_by_key` keeps the first.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut pairs: Vec<(u32, u64)> = pairs.into_iter().collect();
-        // Saved images list pairs strictly ascending, so checking is
-        // cheaper than sorting them again.
-        if !pairs.windows(2).all(|p| p[0].0 < p[1].0) {
-            pairs.sort_by_key(|&(w, _)| w);
-            pairs.dedup_by_key(|&mut (w, _)| w);
-        }
+        pairs.sort_by_key(|&(w, _)| w);
+        pairs.dedup_by_key(|&mut (w, _)| w);
         Self {
             windows: pairs.into_iter().collect(),
         }
